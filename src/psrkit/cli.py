@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +37,14 @@ from .diagnostics import (
     render_residual,
     residual_by_predictor,
 )
-from .estimators import predict_distribution
 from .exceptions import InputError, ModelSpecError, NumericError
-from .fitted_dist import ShiftedEmpirical
 from .formula import design_for_spec, fit_spec, parse_model_spec, parse_term_list
 from .psr import normal_transform
 from .rank_association import (
+    _MARGINS,
     MARGIN_MODELS,
     ScanConfig,
+    _margin_fit,
     batch_partial_spearman,
     correlation_matrix,
     default_margin_model,
@@ -55,27 +54,12 @@ from .rank_association import (
 
 PROG = "psr-kit"
 
-__all__ = ["RunConfig", "main", "run", "emit_correlation_matrix"]
+__all__ = ["main", "run", "emit_correlation_matrix"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings shared by every subcommand."""
-
-    subcommand: str
-    data: str | None
-    schema: str | None
-    models: tuple[str, ...]
-    seed: int | None
-    threads: int
-    outputs: tuple[str, ...]
-    resampling_requested: bool = False
-
-    def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise InputError("--threads must be >= 1")
-        if self.resampling_requested and self.seed is None:
-            raise InputError("a --seed is required whenever resampling is requested")
+def _require_seed(seed: int | None, resampling: bool) -> None:
+    if resampling and seed is None:
+        raise InputError("a --seed is required whenever resampling is requested")
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +138,6 @@ def _model_columns(spec) -> list[str]:
 
 
 def _cmd_fit(args) -> int:
-    RunConfig(
-        "fit", args.data, args.schema, (args.model,), None, 1,
-        tuple(p for p in (args.out,) if p),
-    )
     spec = parse_model_spec(args.model)
     d, _, removed = _load_complete(args.data, args.schema, _model_columns(spec))
     fit, _ = fit_spec(spec, d)
@@ -204,25 +184,11 @@ def _parse_keyed_path(text: str, flag: str) -> tuple[str, str]:
     return key, path
 
 
-def _row_distribution(spec, fit, X, y: Column, i: int):
-    """Per-row predicted distribution, honoring the rank-residual device."""
-    if spec.family == "linear-empirical":
-        fitted = fit.alpha[0] + (X.matrix @ fit.beta if X is not None else 0.0)
-        resid = y.values - fitted
-        center = float(fit.alpha[0] + (X.matrix[i] @ fit.beta if X is not None else 0.0))
-        return ShiftedEmpirical(center=center, pooled_residuals=resid)
-    return predict_distribution(fit, X.matrix[i] if X is not None else None)
-
-
 def _cmd_psr(args) -> int:
-    RunConfig(
-        "psr", args.data, args.schema, (args.model,), None, 1,
-        tuple(p for p in (args.out,) if p),
-    )
     spec = parse_model_spec(args.model)
     d, kept, _ = _load_complete(args.data, args.schema, _model_columns(spec))
     y, X = design_for_spec(spec, d)
-    r = margin_psr(y, X, spec.family)
+    fit, r = _margin_fit(y, X, spec.family)
     header = ["row_id", "observed", "psr"]
     if args.normal:
         header.append("psr_normal")
@@ -236,7 +202,7 @@ def _cmd_psr(args) -> int:
     _write_text(args.out, _csv_text(rows))
 
     if args.dump_dist:
-        fit, Xf = fit_spec(spec, d)
+        row_distribution = _MARGINS[spec.family].row_distribution
         for item in args.dump_dist:
             key, path = _parse_keyed_path(item, "--dump-dist")
             try:
@@ -248,7 +214,7 @@ def _cmd_psr(args) -> int:
                 raise InputError(
                     f"--dump-dist row {row_id} is not among the complete rows"
                 )
-            dist = _row_distribution(spec, fit, Xf, y, int(pos[0]))
+            dist = row_distribution(fit, y, X, int(pos[0]))
             _write_text(path, json.dumps(dist.to_debug_dict(), indent=2) + "\n")
     return 0
 
@@ -267,12 +233,7 @@ def _plot_csv(kinds_points) -> str:
 
 
 def _cmd_diag(args) -> int:
-    outputs = [args.qq] if args.qq else []
     rbp_items = [_parse_keyed_path(t, "--rbp") for t in (args.rbp or [])]
-    outputs.extend(path for _, path in rbp_items)
-    RunConfig(
-        "diag", args.data, args.schema, (args.fit_spec,), None, 1, tuple(outputs)
-    )
     spec = parse_model_spec(args.fit_spec)
     needed = _model_columns(spec)
     for name, _ in rbp_items:
@@ -360,16 +321,11 @@ def _assoc_csv(res, x_name, y_name, x_model, y_model) -> str:
 
 
 def _cmd_pcor(args) -> int:
-    resampling = (args.boot or 0) > 0 or (args.perm or 0) > 0
     if args.matrix:
         if not args.cols:
             raise InputError("--matrix needs --cols with at least two column names")
         cols = [c.strip() for c in args.cols.split(",") if c.strip()]
-        RunConfig(
-            "pcor", args.data, args.schema, (), args.seed, 1,
-            tuple(p for p in (args.out, args.pout) if p),
-            resampling_requested=(args.perm or 0) > 0,
-        )
+        _require_seed(args.seed, args.perm > 0)
         zterms = parse_term_list(args.z)
         d, _, _ = _load_complete(
             args.data, args.schema, [t.name for t in zterms]
@@ -387,11 +343,7 @@ def _cmd_pcor(args) -> int:
 
     if not args.x or not args.y:
         raise InputError("pcor needs --x and --y (or --matrix with --cols)")
-    RunConfig(
-        "pcor", args.data, args.schema, (), args.seed, 1,
-        tuple(p for p in (args.out,) if p),
-        resampling_requested=resampling,
-    )
+    _require_seed(args.seed, args.boot > 0 or args.perm > 0)
     zterms = parse_term_list(args.z)
     needed = [args.x, args.y] + [t.name for t in zterms]
     d, _, _ = _load_complete(args.data, args.schema, needed)
@@ -451,17 +403,14 @@ def _load_predictors(path: str, n_expected: int, kept: np.ndarray) -> list[Colum
 
 
 def _cmd_scan(args) -> int:
-    RunConfig(
-        "scan", args.data, args.schema, (), args.seed, args.threads,
-        tuple(p for p in (args.out,) if p),
-        resampling_requested=(args.perm or 0) > 0,
-    )
+    if args.threads < 1:
+        raise InputError("--threads must be >= 1")
+    _require_seed(args.seed, args.perm > 0)
     zterms = parse_term_list(args.z)
     needed = [args.y] + [t.name for t in zterms]
-    full = load_csv(args.data, args.schema)
-    d, kept, _ = _load_complete(args.data, args.schema, needed)
+    d, kept, removed = _load_complete(args.data, args.schema, needed)
     Z = build_design(d, zterms) if zterms else None
-    preds = _load_predictors(args.predictors, full.n, kept)
+    preds = _load_predictors(args.predictors, kept.size + removed, kept)
     config = ScanConfig(
         x_model=args.x_model,
         y_model=args.y_model,

@@ -302,7 +302,11 @@ def parse_schema(text: str) -> tuple[ColumnSpec, ...]:
     return tuple(specs)
 
 
-def _split_outside_parens(text: str, sep: str) -> list[str]:
+def _split_outside_parens(
+    text: str, sep: str, error: type[InputError] = SchemaError
+) -> list[str]:
+    """Split ``text`` at each ``sep`` outside parentheses; unbalanced
+    parentheses raise ``error``."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
@@ -310,14 +314,14 @@ def _split_outside_parens(text: str, sep: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise SchemaError(f"unbalanced parentheses in {text!r}")
+                raise error(f"unbalanced parentheses in {text!r}")
         if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth != 0:
-        raise SchemaError(f"unbalanced parentheses in {text!r}")
+        raise error(f"unbalanced parentheses in {text!r}")
     parts.append("".join(cur))
     return parts
 

@@ -151,7 +151,7 @@ LINKS = tuple(CUMULATIVE_LINKS) + (
 
 @dataclass(frozen=True)
 class ModelFit:
-    """A fitted model: coefficients plus a factory for per-row distributions.
+    """A fitted model: the coefficients behind its per-row distributions.
 
     ``alpha`` holds the intercepts: length J-1 (strictly increasing) for
     cumulative-link and empirical fits on J distinct outcome values, length
@@ -198,9 +198,6 @@ class ModelFit:
     @property
     def is_discrete(self) -> bool:
         return self.link in CUMULATIVE_LINKS or self.link in ("empirical", "log-poisson")
-
-    def distribution(self, row) -> FittedDistribution:
-        return predict_distribution(self, row)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class DiscreteSupport:
         Strictly increasing support values.
     cum_probs:
         Cumulative probabilities at each support point; nondecreasing,
-        within ``[0, 1]``, and ending at 1 (up to 1e-12).
+        within ``[0, 1]``, and ending at 1 (up to 1e-12, stored as exactly 1).
     """
 
     points: np.ndarray
@@ -56,7 +56,7 @@ class DiscreteSupport:
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
-        cp = np.asarray(self.cum_probs, dtype=float)
+        cp = np.array(self.cum_probs, dtype=float)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "cum_probs", cp)
         if pts.ndim != 1 or pts.size == 0:
@@ -75,6 +75,10 @@ class DiscreteSupport:
             raise ValueError("cum_probs must be nondecreasing and nonnegative")
         if abs(cp[-1] - 1.0) > _TOTAL_MASS_TOL:
             raise ValueError(f"cum_probs must end at 1, got {cp[-1]!r}")
+        # within the slack the total mass is 1: store it exactly, so no
+        # cdf() value exceeds 1
+        np.minimum(cp, 1.0, out=cp)
+        cp[-1] = 1.0
 
     def cdf(self, y: float) -> float:
         """P(Y* <= y)."""

@@ -16,17 +16,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .data_model import Column, Dataset, DesignMatrix, Term, build_design
-from .estimators import (
-    ModelFit,
-    fit_cumulative_link,
-    fit_empirical,
-    fit_exponential_survival,
-    fit_linear_normal,
-    fit_poisson,
+from .data_model import (
+    Column,
+    Dataset,
+    DesignMatrix,
+    Term,
+    _split_outside_parens,
+    build_design,
 )
+from .estimators import ModelFit
 from .exceptions import ModelSpecError
-from .rank_association import MARGIN_MODELS
+from .rank_association import _MARGINS, MARGIN_MODELS
 
 __all__ = [
     "ModelSpec",
@@ -52,30 +52,6 @@ class ModelSpec:
     def describe(self) -> str:
         rhs = " + ".join(t.describe() for t in self.terms) if self.terms else "1"
         return f"{self.family}({self.outcome} ~ {rhs})"
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ModelSpecError(f"unbalanced parentheses in {text!r}")
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ModelSpecError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(cur))
-    return parts
-
-
-def _split_plus(text: str) -> list[str]:
-    return _split_top(text, "+")
 
 
 def _parse_name(text: str, what: str) -> str:
@@ -128,7 +104,7 @@ def parse_model_spec(text: str) -> ModelSpec:
 
     terms: list[Term] = []
     intercept_only = False
-    for piece in _split_plus(rhs):
+    for piece in _split_outside_parens(rhs, "+", ModelSpecError):
         term = _parse_term(piece)
         if term is None:
             intercept_only = True
@@ -158,7 +134,7 @@ def parse_term_list(text: str) -> tuple[Term, ...]:
         return ()
     terms: list[Term] = []
     seen = set()
-    for piece in _split_top(text, ","):
+    for piece in _split_outside_parens(text, ",", ModelSpecError):
         term = _parse_term(piece)
         if term is None:
             continue
@@ -184,15 +160,7 @@ def fit_spec(spec: ModelSpec, d: Dataset) -> tuple[ModelFit, DesignMatrix | None
     rank-based residual step applies only when residuals are computed.
     """
     y, X = design_for_spec(spec, d)
-    fam = spec.family
-    if fam == "empirical":
-        return fit_empirical(y), None
-    if fam in ("linear", "linear-empirical"):
-        return fit_linear_normal(y, X), X
-    if fam.startswith("orm-"):
-        return fit_cumulative_link(y, X, fam[4:]), X
-    if fam == "poisson":
-        return fit_poisson(y, X), X
-    if fam == "exp-surv":
-        return fit_exponential_survival(y, X), X
-    raise ModelSpecError(f"unknown model family {fam!r}")
+    margin = _MARGINS.get(spec.family)
+    if margin is None:
+        raise ModelSpecError(f"unknown model family {spec.family!r}")
+    return margin.fit(y, X), X

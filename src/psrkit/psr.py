@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special, stats
 
 from .data_model import Column, ColumnKind, Dataset, DesignMatrix
-from .estimators import CUMULATIVE_LINKS, ModelFit, predict_distribution
+from .estimators import CUMULATIVE_LINKS, ModelFit
 from .exceptions import InputError
 from .fitted_dist import FittedDistribution
 
@@ -118,7 +118,8 @@ def psr_all(fit: ModelFit, data: Dataset | Column, X: DesignMatrix | None = None
 
     Equivalent to evaluating :func:`psr` (or :func:`psr_censored` for
     right-censored outcomes) against :func:`predict_distribution` row by
-    row, but vectorized per model family.
+    row, but vectorized per model family.  A right-censored outcome needs
+    an exponential-survival fit.
     """
     col = _as_outcome_column(data, fit)
     if col.missing.any():
@@ -137,18 +138,15 @@ def psr_all(fit: ModelFit, data: Dataset | Column, X: DesignMatrix | None = None
     source = f"{fit.link}:{fit.outcome}"
 
     if col.kind is ColumnKind.RIGHT_CENSORED:
-        times, delta = col.values, col.events
-        if fit.link == "log-exponential":
-            rate = np.exp(fit.alpha[0] + xb)
-            cdf = np.where(times > 0, -np.expm1(-rate * times), 0.0)
-            vals = cdf - delta * (1.0 - cdf)
-        else:
-            vals = np.array(
-                [
-                    psr_censored(times[i], delta[i], predict_distribution(fit, _row(X, i)))
-                    for i in range(n)
-                ]
+        if fit.link != "log-exponential":
+            raise InputError(
+                f"censored column {col.name!r} needs an exponential-survival fit, "
+                f"got link {fit.link!r}"
             )
+        times, delta = col.values, col.events
+        rate = np.exp(fit.alpha[0] + xb)
+        cdf = np.where(times > 0, -np.expm1(-rate * times), 0.0)
+        vals = cdf - delta * (1.0 - cdf)
         return PsrVector(vals, source=source, discrete=fit.is_discrete)
 
     yv = col.values
@@ -159,19 +157,11 @@ def psr_all(fit: ModelFit, data: Dataset | Column, X: DesignMatrix | None = None
     elif fit.link == "log-poisson":
         mu = np.exp(fit.alpha[0] + xb)
         vals = stats.poisson.cdf(yv - 1.0, mu) + stats.poisson.cdf(yv, mu) - 1.0
-    elif fit.link == "log-exponential":
+    else:  # log-exponential, the one link of LINKS left
         rate = np.exp(fit.alpha[0] + xb)
         cdf = np.where(yv > 0, -np.expm1(-rate * yv), 0.0)
         vals = 2.0 * cdf - 1.0
-    else:
-        vals = np.array(
-            [psr(yv[i], predict_distribution(fit, _row(X, i))) for i in range(n)]
-        )
     return PsrVector(vals, source=source, discrete=fit.is_discrete)
-
-
-def _row(X: DesignMatrix | None, i: int) -> np.ndarray:
-    return X.matrix[i] if X is not None else np.zeros(0)
 
 
 def _discrete_psr(fit: ModelFit, yv: np.ndarray, xb: np.ndarray) -> np.ndarray:

@@ -19,19 +19,23 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .data_model import Column, ColumnKind, DesignMatrix, ORDERABLE_KINDS
 from .estimators import (
+    CUMULATIVE_LINKS,
+    ModelFit,
     fit_cumulative_link,
     fit_empirical,
     fit_exponential_survival,
     fit_linear_normal,
     fit_poisson,
+    predict_distribution,
 )
 from .exceptions import DegenerateFitError, InputError, NumericError, PsrKitError
+from .fitted_dist import FittedDistribution, ShiftedEmpirical
 from .psr import PsrVector, psr_all, psr_from_omers
 
 __all__ = [
@@ -61,17 +65,13 @@ _TAG_PAIR = 6
 
 _MASK64 = (1 << 64) - 1
 
-MARGIN_MODELS = (
-    "empirical",
-    "linear",
-    "linear-empirical",
-    "orm-logit",
-    "orm-probit",
-    "orm-cloglog",
-    "orm-loglog",
-    "poisson",
-    "exp-surv",
-)
+
+def _fold_seed(seed: int, *tags: int) -> int:
+    """Mix tags into a 64-bit value, starting from ``seed``."""
+    acc = int(seed) & _MASK64
+    for t in tags:
+        acc = (acc * 1000003 + int(t)) & _MASK64
+    return acc
 
 
 def _substream(seed: int | None, *tags: int) -> np.random.Generator:
@@ -82,18 +82,8 @@ def _substream(seed: int | None, *tags: int) -> np.random.Generator:
     """
     if seed is None:
         raise InputError("a seed is required whenever resampling is requested")
-    acc = 0
-    for t in tags:
-        acc = (acc * 1000003 + int(t)) & _MASK64
-    key = np.array([int(seed) & _MASK64, acc], dtype=np.uint64)
+    key = np.array([int(seed) & _MASK64, _fold_seed(0, *tags)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _fold_seed(seed: int, *tags: int) -> int:
-    acc = int(seed) & _MASK64
-    for t in tags:
-        acc = (acc * 1000003 + int(t)) & _MASK64
-    return acc
 
 
 @dataclass(frozen=True)
@@ -127,35 +117,93 @@ class AssocResult:
 # ---------------------------------------------------------------------------
 
 
-def margin_psr(col: Column, Z: DesignMatrix | None, model: str) -> PsrVector:
-    """Residuals of one column against a conditional (or marginal) model.
+def _model_psr(fit: ModelFit, col: Column, Z: DesignMatrix | None) -> PsrVector:
+    return psr_all(fit, col, Z)
 
-    ``model`` names the fitter: ``empirical`` ignores Z entirely;
-    ``linear`` uses normal-theory residuals from least squares;
-    ``linear-empirical`` ranks the least-squares residuals against their own
-    empirical distribution; ``orm-*`` are cumulative-link fits;
-    ``poisson`` and ``exp-surv`` are the log-link count and censored
-    exponential models.
+
+def _model_row(fit: ModelFit, col: Column, Z: DesignMatrix | None, i: int):
+    return predict_distribution(fit, Z.matrix[i] if Z is not None else None)
+
+
+def _least_squares_fitted(fit: ModelFit, col: Column, Z: DesignMatrix | None) -> np.ndarray:
+    return fit.alpha[0] + (Z.matrix @ fit.beta if Z is not None else np.zeros(col.n))
+
+
+def _rank_psr(fit: ModelFit, col: Column, Z: DesignMatrix | None) -> PsrVector:
+    """Rank the least-squares residuals against their own empirical distribution."""
+    resid = col.values - _least_squares_fitted(fit, col, Z)
+    return psr_from_omers(resid, source=f"linear-empirical:{col.name}")
+
+
+def _rank_row(fit: ModelFit, col: Column, Z: DesignMatrix | None, i: int):
+    fitted = _least_squares_fitted(fit, col, Z)
+    return ShiftedEmpirical(center=float(fitted[i]), pooled_residuals=col.values - fitted)
+
+
+@dataclass(frozen=True)
+class _MarginModel:
+    """How one margin family fits a column, scores every row of it, and
+    describes one row's fitted distribution.
+
+    Entries call the fitters, ``psr_all`` and ``predict_distribution`` by
+    their module-level names at call time, so replacing one of those names
+    (to trace or count calls) reaches every use.
     """
-    if model not in MARGIN_MODELS:
+
+    fit: Callable[[Column, DesignMatrix | None], ModelFit]
+    residuals: Callable[[ModelFit, Column, DesignMatrix | None], PsrVector] = _model_psr
+    row_distribution: Callable[
+        [ModelFit, Column, DesignMatrix | None, int], FittedDistribution
+    ] = _model_row
+
+
+#: the margin families: ``empirical`` ignores Z entirely; ``linear`` uses
+#: normal-theory residuals from least squares; ``linear-empirical`` ranks
+#: the least-squares residuals against their own empirical distribution;
+#: ``orm-*`` are cumulative-link fits; ``poisson`` and ``exp-surv`` are the
+#: log-link count and censored exponential models.
+_MARGINS: dict[str, _MarginModel] = {
+    "empirical": _MarginModel(
+        lambda col, Z: fit_empirical(col),
+        lambda fit, col, Z: psr_all(fit, col),
+        lambda fit, col, Z, i: predict_distribution(fit, None),
+    ),
+    "linear": _MarginModel(lambda col, Z: fit_linear_normal(col, Z)),
+    "linear-empirical": _MarginModel(
+        lambda col, Z: fit_linear_normal(col, Z), _rank_psr, _rank_row
+    ),
+    **{
+        f"orm-{link}": _MarginModel(
+            lambda col, Z, link=link: fit_cumulative_link(col, Z, link)
+        )
+        for link in CUMULATIVE_LINKS
+    },
+    "poisson": _MarginModel(lambda col, Z: fit_poisson(col, Z)),
+    "exp-surv": _MarginModel(lambda col, Z: fit_exponential_survival(col, Z)),
+}
+
+MARGIN_MODELS = tuple(_MARGINS)
+
+
+def _margin_fit(
+    col: Column, Z: DesignMatrix | None, model: str
+) -> tuple[ModelFit, PsrVector]:
+    """The fit of one column's margin and the residuals it gives."""
+    margin = _MARGINS.get(model)
+    if margin is None:
         raise InputError(f"unknown margin model {model!r}; choose from {MARGIN_MODELS}")
     if Z is not None and Z.p == 0:
         Z = None
-    if model == "empirical":
-        return psr_all(fit_empirical(col), col)
-    if model == "linear":
-        return psr_all(fit_linear_normal(col, Z), col, Z)
-    if model == "linear-empirical":
-        fit = fit_linear_normal(col, Z)
-        fitted = fit.alpha[0] + (Z.matrix @ fit.beta if Z is not None else 0.0)
-        return psr_from_omers(col.values - fitted, source=f"linear-empirical:{col.name}")
-    if model.startswith("orm-"):
-        return psr_all(fit_cumulative_link(col, Z, model[4:]), col, Z)
-    if model == "poisson":
-        return psr_all(fit_poisson(col, Z), col, Z)
-    if model == "exp-surv":
-        return psr_all(fit_exponential_survival(col, Z), col, Z)
-    raise InputError(f"unknown margin model {model!r}")
+    fit = margin.fit(col, Z)
+    return fit, margin.residuals(fit, col, Z)
+
+
+def margin_psr(col: Column, Z: DesignMatrix | None, model: str) -> PsrVector:
+    """Residuals of one column against a conditional (or marginal) model.
+
+    ``model`` names one of :data:`MARGIN_MODELS`.
+    """
+    return _margin_fit(col, Z, model)[1]
 
 
 def default_margin_model(col: Column, Z: DesignMatrix | None) -> str:
@@ -542,9 +590,10 @@ def _scan_single(col, idx, ypsr, zmat, znames, x_model, n_perm, seed) -> ScanRow
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            u = margin_psr(xs, Zsub, x_model).values
+            fit, r = _margin_fit(xs, Zsub, x_model)
         except PsrKitError as exc:
             return ScanRow(col.name, np.nan, np.nan, n_used, "failed", str(exc))
+    u = r.values
     if float(np.std(u)) < 1e-6:
         return ScanRow(
             col.name, np.nan, np.nan, n_used, "degenerate",
@@ -557,7 +606,7 @@ def _scan_single(col, idx, ypsr, zmat, znames, x_model, n_perm, seed) -> ScanRow
         return ScanRow(col.name, np.nan, np.nan, n_used, "degenerate", str(exc))
     rng = _substream(seed, _TAG_SCAN, idx)
     p = _perm_pvalue(u, v, est, n_perm, rng, _pearson)
-    return ScanRow(col.name, est, p, n_used, "ok")
+    return ScanRow(col.name, est, p, n_used, "ok", "; ".join(fit.notes))
 
 
 #: worker-process state installed by the pool initializer

@@ -7,6 +7,16 @@ import numpy as np
 import pytest
 
 from psrkit.cli import run
+from psrkit.data_model import load_csv
+from psrkit.fitted_dist import (
+    DiscreteSupport,
+    ExponentialDist,
+    NormalDist,
+    ShiftedEmpirical,
+)
+from psrkit.formula import parse_model_spec
+from psrkit.psr import psr, psr_censored
+from psrkit.rank_association import MARGIN_MODELS
 
 SCHEMA = (
     "y:continuous,age:continuous,sex:binary,"
@@ -192,6 +202,43 @@ class TestPsr:
         assert doc["kind"] == "normal"
         assert doc["sigma"] > 0
 
+    # one model per margin family, on an outcome column of a kind it accepts
+    FAMILY_MODELS = {
+        "empirical": "empirical(y ~ 1)",
+        "linear": "linear(y ~ age + sex)",
+        "linear-empirical": "linear-empirical(y ~ age + sex)",
+        "poisson": "poisson(sex ~ age)",
+        "exp-surv": "exp-surv(t ~ age)",
+    }
+    DISTRIBUTIONS = {
+        "discrete": lambda doc: DiscreteSupport(doc["points"], doc["cum_probs"]),
+        "normal": lambda doc: NormalDist(doc["mu"], doc["sigma"]),
+        "exponential": lambda doc: ExponentialDist(doc["rate"]),
+        "shifted_empirical": lambda doc: ShiftedEmpirical(
+            doc["center"], np.asarray(doc["pooled_residuals"])
+        ),
+    }
+
+    @pytest.mark.parametrize("family", MARGIN_MODELS)
+    def test_dump_dist_scores_to_row_residual(self, family, table, tmp_path, capsys):
+        model = self.FAMILY_MODELS.get(family, f"{family}(stage ~ age)")
+        out, dump = tmp_path / "p.csv", tmp_path / "row1.json"
+        code = run(
+            ["psr", "--data", table, "--schema", SCHEMA, "--model", model,
+             "--out", str(out), "--dump-dist", f"1={dump}"]
+        )
+        assert code == 0
+        doc = json.loads(dump.read_text())
+        dist = self.DISTRIBUTIONS[doc["kind"]](doc)
+        rows = _parse_csv(out.read_text())
+        (want,) = [float(r[2]) for r in rows[1:] if r[0] == "1"]
+        col = load_csv(table, SCHEMA)[parse_model_spec(model).outcome]
+        if family == "exp-surv":
+            got = psr_censored(col.values[0], col.events[0], dist)
+        else:
+            got = psr(col.values[0], dist)
+        assert got == pytest.approx(want, abs=1e-12)
+
     def test_dump_dist_removed_row_rejected(self, table, tmp_path, capsys):
         code = run(
             ["psr", "--data", table, "--schema", SCHEMA,
@@ -316,6 +363,14 @@ class TestPcor:
         off_diag_p = float(p_rows[1][2])
         assert 0 < off_diag_p <= 1
 
+    def test_matrix_seed_required_when_permuting(self, table, capsys):
+        code = run(
+            ["pcor", "--data", table, "--schema", SCHEMA,
+             "--matrix", "--cols", "a,b", "--perm", "9"]
+        )
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_matrix_needs_cols(self, table, capsys):
         code = run(
             ["pcor", "--data", table, "--schema", SCHEMA, "--matrix",
@@ -379,6 +434,15 @@ class TestScan:
         )
         assert code == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_threads_below_one_rejected(self, table, tmp_path, capsys):
+        preds = self._predictors(tmp_path / "p.csv")
+        code = run(
+            ["scan", "--data", table, "--schema", SCHEMA, "--y", "y",
+             "--predictors", preds, "--perm", "9", "--seed", "1", "--threads", "0"]
+        )
+        assert code == 1
+        assert "--threads" in capsys.readouterr().err
 
     def test_non_numeric_predictor_cell(self, table, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

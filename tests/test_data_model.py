@@ -91,6 +91,8 @@ class TestSchema:
             parse_schema("t:surv(time)")
         with pytest.raises(SchemaError):
             parse_schema("nocolon")
+        with pytest.raises(SchemaError):
+            parse_schema("s:ordinal(a<b")
 
 
 class TestCsvIO:

@@ -45,6 +45,10 @@ class TestDiscreteSupport:
         with pytest.raises(ValueError):
             DiscreteSupport(np.array([1.0, 2.0]), np.array([0.7, 0.5]))
 
+    def test_total_mass_stored_as_one(self):
+        d = DiscreteSupport([1, 2, 3], [0.3, 0.7, np.nextafter(1, 2)])
+        assert d.cdf(8.0) == 1.0
+
     def test_debug_dict(self):
         dd = self.d.to_debug_dict()
         assert dd["kind"] == "discrete"

@@ -67,6 +67,7 @@ class TestParse:
             "orm-logit( ~ x)",  # empty outcome
             "orm-logit(2y ~ x)",  # invalid name
             "empirical(y ~ x)",  # empirical takes no terms
+            "orm-logit(y ~ rcs(x,3)",  # unbalanced parentheses in a term
             "",
         ],
     )
@@ -96,6 +97,10 @@ class TestParseTermList:
     def test_duplicates_rejected(self):
         with pytest.raises(ModelSpecError, match="duplicate"):
             parse_term_list("a,a")
+
+    def test_unbalanced_parentheses_rejected(self):
+        with pytest.raises(ModelSpecError, match="unbalanced"):
+            parse_term_list("age,rcs(bmi,4")
 
 
 class TestFitDispatch:

@@ -172,6 +172,12 @@ class TestPsrAll:
             slow = self._slow(fit, ycol, Xd)
             assert np.allclose(fast, slow, atol=1e-12), fit.link
 
+    def test_censored_outcome_needs_exponential_fit(self):
+        t = np.random.default_rng(15).exponential(1.0, 30)
+        fit = fit_linear_normal(Column.continuous("t", t))
+        with pytest.raises(InputError, match="exponential"):
+            psr_all(fit, Column.right_censored("t", t, np.ones(30)))
+
     def test_bounds_always_hold(self):
         rng = np.random.default_rng(13)
         y = Column.continuous("y", rng.integers(0, 3, 40).astype(float))

@@ -329,6 +329,18 @@ class TestBatchScan:
         ok_names = [r.name for r in rows if r.status == "ok"]
         assert set(ok_names) == {"planted", "null0", "null1"}
 
+    def test_capped_fit_notes_in_detail(self):
+        rng = np.random.default_rng(24)
+        n = 200
+        age_z = rng.normal(0, 1, n)
+        sex = rng.integers(0, 2, n).astype(float)
+        y = Column.continuous("y", age_z + rng.normal(0, 1, n))
+        Z = DesignMatrix(np.column_stack([age_z, sex]), ("age_z", "sex"))
+        x = Column.continuous("x", (age_z > 0).astype(float))
+        (row,) = batch_partial_spearman(y, Z, [x], ScanConfig(n_perm=9, seed=5))
+        assert row.status == "ok"
+        assert "capped" in row.detail
+
     def test_seed_required(self):
         rng = np.random.default_rng(23)
         y, Z, preds = self._setup(rng, n=50, n_null=1)
