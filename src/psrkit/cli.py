@@ -37,7 +37,7 @@ from .diagnostics import (
     render_residual,
     residual_by_predictor,
 )
-from .exceptions import InputError, ModelSpecError, NumericError
+from .exceptions import InputError, NumericError
 from .formula import design_for_spec, fit_spec, parse_model_spec, parse_term_list
 from .psr import normal_transform
 from .rank_association import (

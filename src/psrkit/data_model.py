@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

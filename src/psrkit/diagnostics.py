@@ -36,16 +36,9 @@ __all__ = [
 
 
 def _residual_values(residuals) -> tuple[np.ndarray, bool]:
-    if isinstance(residuals, PsrVector):
-        return residuals.values, residuals.discrete
-    arr = np.asarray(residuals, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InputError("residuals must be a nonempty 1-d array")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("residuals contain non-finite values")
-    if np.any(np.abs(arr) > 1.0 + 1e-9):
-        raise InputError("residuals must lie in [-1, 1]")
-    return np.clip(arr, -1.0, 1.0), False
+    if not isinstance(residuals, PsrVector):
+        residuals = PsrVector(residuals, source="array", discrete=False)
+    return residuals.values, residuals.discrete
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 from scipy.linalg import solve_banded
 
 from .data_model import Column, ColumnKind, DesignMatrix, ORDERABLE_KINDS
@@ -779,11 +779,11 @@ def predict_distribution(fit: ModelFit, row) -> FittedDistribution:
         return ExponentialDist(float(np.exp(fit.alpha[0] + xb)))
     if fit.link == "log-poisson":
         mu = float(np.exp(fit.alpha[0] + xb))
-        top = int(stats.poisson.ppf(_POISSON_TAIL, mu))
-        while stats.poisson.cdf(top, mu) < _POISSON_TAIL:
+        top = int(mu)
+        while special.pdtr(top, mu) < _POISSON_TAIL:
             top += 1
         points = np.arange(top + 1, dtype=float)
-        cp = stats.poisson.cdf(points, mu)
+        cp = special.pdtr(points, mu)
         np.clip(cp, 0.0, 1.0, out=cp)
         return DiscreteSupport(points, cp)
     raise InputError(f"unknown link {fit.link!r}")
@@ -807,4 +807,4 @@ def lr_test(reduced: ModelFit, full: ModelFit) -> LikelihoodRatioTest:
         raise InputError("the second fit must have more parameters than the first")
     stat = 2.0 * (full.loglik - reduced.loglik)
     stat = max(stat, 0.0)
-    return LikelihoodRatioTest(stat, df, float(stats.chi2.sf(stat, df)))
+    return LikelihoodRatioTest(stat, df, float(special.chdtrc(df, stat)))

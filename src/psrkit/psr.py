@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .data_model import Column, ColumnKind, Dataset, DesignMatrix
 from .estimators import CUMULATIVE_LINKS, ModelFit
@@ -156,7 +156,9 @@ def psr_all(fit: ModelFit, data: Dataset | Column, X: DesignMatrix | None = None
         vals = 2.0 * special.ndtr((yv - (fit.alpha[0] + xb)) / fit.scale) - 1.0
     elif fit.link == "log-poisson":
         mu = np.exp(fit.alpha[0] + xb)
-        vals = stats.poisson.cdf(yv - 1.0, mu) + stats.poisson.cdf(yv, mu) - 1.0
+        # F(y-) is pdtr(y - 1), which is NaN rather than 0 at y = 0
+        below = np.where(yv >= 1.0, special.pdtr(yv - 1.0, mu), 0.0)
+        vals = below + special.pdtr(yv, mu) - 1.0
     else:  # log-exponential, the one link of LINKS left
         rate = np.exp(fit.alpha[0] + xb)
         cdf = np.where(yv > 0, -np.expm1(-rate * yv), 0.0)

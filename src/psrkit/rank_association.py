@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data_model import Column, ColumnKind, DesignMatrix, ORDERABLE_KINDS
+from .data_model import Column, ColumnKind, DesignMatrix
 from .estimators import (
     CUMULATIVE_LINKS,
     ModelFit,
@@ -222,7 +222,7 @@ def _check_pair(x: Column, y: Column) -> None:
             raise InputError(f"column {c.name!r} has missing values; run complete_cases first")
 
 
-def _pearson(u: np.ndarray, v: np.ndarray) -> float:
+def _pearson(u: np.ndarray, v: np.ndarray, rows=None) -> float:
     uc = u - u.mean()
     vc = v - v.mean()
     su = float(np.sqrt(uc @ uc))
@@ -232,52 +232,60 @@ def _pearson(u: np.ndarray, v: np.ndarray) -> float:
     return float((uc @ vc) / (su * sv))
 
 
-def _mean_product(u: np.ndarray, v: np.ndarray) -> float:
+def _mean_product(u: np.ndarray, v: np.ndarray, rows=None) -> float:
     return float(np.mean(u * v))
 
 
-def _perm_pvalue(u, v, observed, n_perm, rng, stat) -> float:
+# A statistic maps residual vectors ``(u, v, rows)`` to one float, or to an
+# array with one value per output.  ``rows`` is None for the data as given
+# (the estimate and every permutation) and a bootstrap replicate's row
+# indices otherwise, for statistics that depend on more than u and v.
+
+
+def _perm_pvalue(u, v, observed, n_perm, rng, stat):
+    """(1 + b) / (B + 1) per output, b counting draws at least as extreme."""
     hits = 0
     target = abs(observed)
     for _ in range(n_perm):
-        hits += abs(stat(u, rng.permutation(v))) >= target
+        hits += abs(stat(u, rng.permutation(v), None)) >= target
     return (1 + hits) / (n_perm + 1)
 
 
 def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat):
-    """Percentile interval from a pairs bootstrap that refits both margins."""
+    """Percentile interval per output from a pairs bootstrap that refits both
+    margins, and the number of replicates that failed."""
     n = x.n
-    draws = np.full(n_boot, np.nan)
-    failures = 0
+    draws = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for b in range(n_boot):
+        for _ in range(n_boot):
             idx = rng.integers(0, n, size=n)
             try:
                 zb = Z.take(idx) if Z is not None else None
                 u = margin_psr(x.take(idx), zb, x_model).values
                 v = margin_psr(y.take(idx), zb, y_model).values
-                draws[b] = stat(u, v)
+                draws.append(stat(u, v, idx))
             except NumericError:
-                failures += 1
-    ok = draws[~np.isnan(draws)]
-    if ok.size < max(2, n_boot // 2):
-        raise NumericError(f"bootstrap failed: only {ok.size} of {n_boot} replicates usable")
-    lo, hi = np.percentile(ok, [2.5, 97.5])
-    return float(lo), float(hi), failures
+                pass
+    if len(draws) < max(2, n_boot // 2):
+        raise NumericError(f"bootstrap failed: only {len(draws)} of {n_boot} replicates usable")
+    lo, hi = np.nanpercentile(np.array(draws), [2.5, 97.5], axis=0).reshape(2, -1)
+    return lo.tolist(), hi.tolist(), n_boot - len(draws)
 
 
-def _resampled_result(
-    x, y, Z, x_model, y_model, *, stat, method, n_boot, n_perm, seed
-) -> AssocResult:
+def _resampled_results(
+    x, y, Z, x_model, y_model, *, stat, method, n_boot, n_perm, seed, tags=()
+) -> list[AssocResult]:
+    """One result per output of ``stat``; ``tags`` prefix the substream tags."""
     u = margin_psr(x, Z, x_model).values
     v = margin_psr(y, Z, y_model).values
-    estimate = stat(u, v)
-    ci_low = ci_high = p_value = None
+    observed = stat(u, v, None)
+    estimates = np.atleast_1d(observed).tolist()
+    ci_low = ci_high = p_values = [None] * len(estimates)
     info: list[ResamplingInfo] = []
     notes: list[str] = []
     if n_boot:
-        rng = _substream(seed, _TAG_BOOT)
+        rng = _substream(seed, *tags, _TAG_BOOT)
         ci_low, ci_high, failures = _bootstrap_ci(
             x, y, Z, x_model, y_model, n_boot, rng, stat
         )
@@ -285,19 +293,23 @@ def _resampled_result(
         if failures:
             notes.append(f"{failures} of {n_boot} bootstrap replicates failed and were dropped")
     if n_perm:
-        rng = _substream(seed, _TAG_PERM)
-        p_value = _perm_pvalue(u, v, estimate, n_perm, rng, stat)
+        rng = _substream(seed, *tags, _TAG_PERM)
+        p = _perm_pvalue(u, v, observed, n_perm, rng, stat)
+        p_values = np.atleast_1d(p).tolist()
         info.append(ResamplingInfo("permutation", n_perm, seed))
-    return AssocResult(
-        estimate=estimate,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        p_value=p_value,
-        method=method,
-        n_used=x.n,
-        resampling=tuple(info),
-        notes=tuple(notes),
-    )
+    return [
+        AssocResult(
+            estimate=e,
+            ci_low=lo,
+            ci_high=hi,
+            p_value=p,
+            method=method,
+            n_used=x.n,
+            resampling=tuple(info),
+            notes=tuple(notes),
+        )
+        for e, lo, hi, p in zip(estimates, ci_low, ci_high, p_values)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +333,10 @@ def spearman(
         if not c.is_orderable:
             raise InputError(f"column {c.name!r} is not orderable")
     _check_pair(x, y)
-    return _resampled_result(
+    return _resampled_results(
         x, y, None, "empirical", "empirical",
         stat=_pearson, method="spearman", n_boot=n_boot, n_perm=n_perm, seed=seed,
-    )
+    )[0]
 
 
 def partial_spearman(
@@ -347,13 +359,13 @@ def partial_spearman(
     _check_pair(x, y)
     if Z is not None and Z.n != x.n:
         raise InputError("Z does not align with x and y")
-    return _resampled_result(
+    return _resampled_results(
         x, y, Z,
         x_model or default_margin_model(x, Z),
         y_model or default_margin_model(y, Z),
         stat=_pearson, method="partial_spearman",
         n_boot=n_boot, n_perm=n_perm, seed=seed,
-    )
+    )[0]
 
 
 def psr_covariance(
@@ -375,13 +387,13 @@ def psr_covariance(
     _check_pair(x, y)
     if Z is not None and Z.n != x.n:
         raise InputError("Z does not align with x and y")
-    return _resampled_result(
+    return _resampled_results(
         x, y, Z,
         x_model or default_margin_model(x, Z),
         y_model or default_margin_model(y, Z),
         stat=_mean_product, method="psr_covariance",
         n_boot=n_boot, n_perm=n_perm, seed=seed,
-    )
+    )[0]
 
 
 def psr_variance_discrete(probs) -> float:
@@ -444,7 +456,7 @@ def _conditional_categorical(x, y, z, x_model, y_model, n_boot, n_perm, seed):
         rows = np.flatnonzero(z.values == code)
         xs, ys = x.take(rows), y.take(rows)
         sub_seed = _fold_seed(seed, _TAG_STRATUM, int(code)) if seed is not None else None
-        res = _resampled_result(
+        (res,) = _resampled_results(
             xs, ys, None,
             x_model or "empirical", y_model or "empirical",
             stat=_pearson, method="conditional_spearman",
@@ -485,66 +497,23 @@ def _conditional_continuous(x, y, z, x_model, y_model, n_grid, bandwidth, n_boot
     if h <= 0:
         raise InputError("kernel bandwidth must be positive; supply bandwidth explicitly")
     Zd = DesignMatrix(zv[:, None], (z.name,))
-    xm = x_model or "orm-logit"
-    ym = y_model or "orm-logit"
-    u = margin_psr(x, Zd, xm).values
-    v = margin_psr(y, Zd, ym).values
     grid = np.linspace(zv.min(), zv.max(), n_grid)
-    weights = np.exp(-0.5 * np.square((zv[None, :] - grid[:, None]) / h))
-    estimates = np.array([_weighted_corr(u, v, weights[g]) for g in range(n_grid)])
 
-    p_values = [None] * n_grid
-    if n_perm:
-        rng = _substream(seed, _TAG_GRID, _TAG_PERM)
-        hits = np.zeros(n_grid)
-        for _ in range(n_perm):
-            vp = rng.permutation(v)
-            perm_est = np.array([_weighted_corr(u, vp, weights[g]) for g in range(n_grid)])
-            hits += np.abs(perm_est) >= np.abs(estimates)
-        p_values = ((1 + hits) / (n_perm + 1)).tolist()
+    def kernel(zr: np.ndarray) -> np.ndarray:
+        return np.exp(-0.5 * np.square((zr[None, :] - grid[:, None]) / h))
 
-    ci = [(None, None)] * n_grid
-    if n_boot:
-        rng = _substream(seed, _TAG_GRID, _TAG_BOOT)
-        draws = np.full((n_boot, n_grid), np.nan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for b in range(n_boot):
-                idx = rng.integers(0, x.n, size=x.n)
-                try:
-                    Zb = Zd.take(idx)
-                    ub = margin_psr(x.take(idx), Zb, xm).values
-                    vb = margin_psr(y.take(idx), Zb, ym).values
-                    wb = np.exp(-0.5 * np.square((zv[idx][None, :] - grid[:, None]) / h))
-                    draws[b] = [_weighted_corr(ub, vb, wb[g]) for g in range(n_grid)]
-                except NumericError:
-                    pass
-        lo = np.nanpercentile(draws, 2.5, axis=0)
-        hi = np.nanpercentile(draws, 97.5, axis=0)
-        ci = list(zip(lo.tolist(), hi.tolist()))
+    weights = kernel(zv)
 
-    info = []
-    if n_boot:
-        info.append(ResamplingInfo("bootstrap", n_boot, seed))
-    if n_perm:
-        info.append(ResamplingInfo("permutation", n_perm, seed))
-    out = []
-    for g in range(n_grid):
-        out.append(
-            (
-                float(grid[g]),
-                AssocResult(
-                    estimate=float(estimates[g]),
-                    ci_low=ci[g][0],
-                    ci_high=ci[g][1],
-                    p_value=p_values[g],
-                    method="conditional_spearman",
-                    n_used=x.n,
-                    resampling=tuple(info),
-                ),
-            )
-        )
-    return out
+    def curve(u, v, rows) -> np.ndarray:
+        w = weights if rows is None else kernel(zv[rows])
+        return np.array([_weighted_corr(u, v, w[g]) for g in range(n_grid)])
+
+    results = _resampled_results(
+        x, y, Zd, x_model or "orm-logit", y_model or "orm-logit",
+        stat=curve, method="conditional_spearman",
+        n_boot=n_boot, n_perm=n_perm, seed=seed, tags=(_TAG_GRID,),
+    )
+    return list(zip(grid.tolist(), results))
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +665,8 @@ def correlation_matrix(
     k = len(names)
     if k < 2:
         raise InputError("a correlation matrix needs at least 2 columns")
+    if n_perm and seed is None:
+        raise InputError("a seed is required whenever resampling is requested")
     est = np.eye(k)
     pval = np.full((k, k), np.nan)
     notes: list[str] = []

@@ -2,6 +2,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +93,17 @@ class TestTopLevel:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_import_leaves_out_scipy_stats(self):
+        import psrkit
+
+        src = os.path.dirname(os.path.dirname(psrkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, psrkit.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestFit:

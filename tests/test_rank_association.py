@@ -5,7 +5,8 @@ from scipy import stats
 
 from psrkit.data_model import Column, Dataset, DesignMatrix
 from psrkit.estimators import fit_linear_normal
-from psrkit.exceptions import InputError
+from psrkit import rank_association as ra
+from psrkit.exceptions import InputError, NumericError
 from psrkit.psr import psr_all, psr_from_omers
 from psrkit.rank_association import (
     ScanConfig,
@@ -270,6 +271,75 @@ class TestConditionalSpearman:
             )
 
 
+def _curve_columns():
+    rng = np.random.default_rng(31)
+    n = 60
+    z = rng.uniform(-1, 1, n)
+    x = rng.normal(0, 1, n)
+    y = z * x + rng.normal(0, 1, n)
+    return Column.continuous("x", x), Column.continuous("y", y), Column.continuous("z", z)
+
+
+def _curve(n_boot=30, n_perm=39):
+    cx, cy, cz = _curve_columns()
+    return conditional_spearman(
+        cx, cy, cz, n_grid=5, n_boot=n_boot, n_perm=n_perm, seed=7
+    )
+
+
+def _partial(n_boot=30, n_perm=39):
+    cx, cy, _ = _curve_columns()
+    return partial_spearman(cx, cy, None, n_boot=n_boot, n_perm=n_perm, seed=7)
+
+
+def _fail_x_refits(monkeypatch, failing):
+    """Make margin_psr raise on the x refits whose 1-based count is in
+    ``failing``; the first x call is the full-data fit."""
+    calls = [0]
+    real = ra.margin_psr
+
+    def flaky(col, Z, model):
+        if col.name == "x":
+            calls[0] += 1
+            if calls[0] in failing:
+                raise NumericError("injected refit failure")
+        return real(col, Z, model)
+
+    monkeypatch.setattr(ra, "margin_psr", flaky)
+
+
+class TestResamplingEngine:
+    def test_seeded_curve_inference(self):
+        curve = _curve()
+        assert curve == _curve()
+        for _, r in curve:
+            assert (r.p_value * 40) == pytest.approx(round(r.p_value * 40), abs=1e-9)
+            assert r.ci_low <= r.ci_high
+            assert r.notes == ()
+            assert {i.kind for i in r.resampling} == {"bootstrap", "permutation"}
+        # values of the grid loop the engine replaced, at the same seed
+        z, r = curve[3]
+        assert z == 0.5012730521944495
+        assert r.estimate == 0.5434643716264951
+        assert (r.ci_low, r.ci_high) == (0.3155651231071341, 0.7076936012700502)
+        assert r.p_value == 0.025
+        assert curve[2][1].p_value == 0.625
+
+    def test_curve_counts_failed_replicates(self, monkeypatch):
+        _fail_x_refits(monkeypatch, {3, 6})
+        curve = _curve(n_boot=20, n_perm=0)
+        for _, r in curve:
+            assert r.notes == ("2 of 20 bootstrap replicates failed and were dropped",)
+            assert r.ci_low <= r.ci_high
+
+    @pytest.mark.parametrize("estimate", [_partial, _curve], ids=["partial", "curve"])
+    def test_too_few_usable_replicates_raise(self, monkeypatch, estimate):
+        # 9 of 20 replicates usable: one short of half
+        _fail_x_refits(monkeypatch, set(range(11, 40)))
+        with pytest.raises(NumericError, match="only 9 of 20 replicates usable"):
+            estimate(n_boot=20, n_perm=0)
+
+
 class TestBatchScan:
     def _setup(self, rng, n=150, n_null=10):
         z = rng.normal(0, 1, n)
@@ -410,3 +480,13 @@ class TestCorrelationMatrix:
         d = Dataset((Column.continuous("a", np.arange(5.0)),))
         with pytest.raises(InputError):
             correlation_matrix(d, ["a"], None, n_perm=0)
+
+    def test_seed_required_before_any_fit(self, monkeypatch):
+        d = Dataset(
+            (Column.continuous("a", np.arange(20.0)), Column.continuous("b", np.arange(20.0) % 7))
+        )
+        fits = []
+        monkeypatch.setattr(ra, "margin_psr", lambda *args: fits.append(args))
+        with pytest.raises(InputError, match="seed"):
+            correlation_matrix(d, ["a", "b"], None, n_perm=9, seed=None)
+        assert fits == []
