@@ -18,6 +18,13 @@ adjacent cut points; steps are solved through that structure plus a p x p
 Schur complement, so one iteration costs O(J + n p + p^3) even when every
 outcome value is distinct.
 
+Every Newton fit stops on the Newton decrement |g' M^{-1} g| (M the Hessian
+or information matrix), not on the size of the score: once it is at most
+``DECREMENT_TOL`` the full Newton step is taken without the likelihood test
+and the fit stops as converged.  The decrement is twice the gain the step
+predicts in log-likelihood, so the rule holds at any n, whereas the score's
+rounding noise grows with the number of cut points.
+
 Parametric families (normal linear, log-link Poisson, log-link exponential
 survival) share the :class:`ModelFit` container, storing their single
 intercept in ``alpha``.
@@ -56,7 +63,8 @@ __all__ = [
     "lr_test",
 ]
 
-GRADIENT_TOL = 1e-8
+#: Newton decrement at which the last full step is taken and the fit stops
+DECREMENT_TOL = 1e-10
 MAX_ITERATIONS = 100
 #: coefficients beyond this magnitude are treated as complete separation
 SEPARATION_CAP = 30.0
@@ -331,16 +339,17 @@ def fit_cumulative_link(
     X: DesignMatrix | None = None,
     link: str = "logit",
     *,
-    tol: float = GRADIENT_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> ModelFit:
     """Fit g[P(Y <= v_j | x)] = alpha_j - x'beta over distinct outcome values.
 
     Starting values are the link-transformed empirical CDF for alpha and
-    zero for beta.  Convergence requires the score max-norm to fall to
-    ``tol``; non-convergence raises :class:`ConvergenceError`, except for
-    complete separation (a coefficient beyond +-30 on the link scale) which
-    warns and returns the capped fit so batch scans can continue.
+    zero for beta.  When no ridge was needed and the Newton decrement is at
+    most ``DECREMENT_TOL``, the full step is taken in (alpha, beta) space,
+    keeping the cut points increasing, and the fit stops as converged.
+    Non-convergence raises :class:`ConvergenceError`, except for complete
+    separation (a coefficient beyond +-30 on the link scale) which warns and
+    returns the capped fit so batch scans can continue.
     """
     if link not in CUMULATIVE_LINKS:
         raise InputError(f"unknown cumulative link {link!r}; choose from {sorted(CUMULATIVE_LINKS)}")
@@ -368,21 +377,10 @@ def fit_cumulative_link(
     ll, g_a, g_b, h_d, h_o, h_ab, h_bb = _clm_score(alpha, beta, codes, Xm, fam)
     notes: list[str] = []
     iterations = 0
-    separated = False
+    converged = separated = False
+    decrement = np.nan
 
-    while True:
-        gmax = max(
-            float(np.max(np.abs(g_a))) if g_a.size else 0.0,
-            float(np.max(np.abs(g_b))) if g_b.size else 0.0,
-        )
-        if gmax <= tol:
-            converged = True
-            break
-        if iterations >= max_iter or separated:
-            converged = False
-            break
-        iterations += 1
-
+    while not separated:
         # tail sums of the alpha score feed the reparameterization curvature
         tail = np.cumsum(g_a[::-1])[::-1]
         extra = np.zeros(n_alpha)
@@ -419,60 +417,39 @@ def fit_cumulative_link(
                     break
             ridge = max(ridge * 10.0, 1e-8 * scale)
         if direction is None:
-            converged = False
             notes.append("newton step could not be computed")
             break
+        decrement = abs(float(g_a @ v_a + g_b @ v_b))
+        if iterations >= max_iter:
+            notes.append("did not converge")
+            break
+        iterations += 1
+
+        if ridge == 0.0 and decrement <= DECREMENT_TOL:
+            # The last step is taken in (alpha, beta) space: through the
+            # log-increment map a step this small is lost to cancellation.
+            alpha_new = alpha - v_a
+            if n_alpha == 1 or np.all(np.diff(alpha_new) > 0.0):
+                alpha, beta = alpha_new, beta - v_b
+                ll, g_a, g_b = _clm_score(alpha, beta, codes, Xm, fam)[:3]
+                converged = True
+                break
 
         # step-halving: accept the first step that improves the likelihood.
         # The improvement is measured as sum(log(pi_new / pi_old)) so that
         # late-stage gains far below the floating-point resolution of the
         # total log-likelihood are still visible.
         step = 1.0
-        accepted = False
         for _ in range(40):
             theta_new = theta + step * direction
             alpha_new, beta_new = _decode_theta(theta_new, n_alpha)
             pi_new = _clm_pi(alpha_new, beta_new, codes, Xm, fam)
             if pi_new is not None and float(np.sum(np.log(pi_new / pi_cur))) > 0.0:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            # Terminal polish: once increments approach fp resolution the
-            # log-increment parameterization applies the step through a
-            # cancellation-prone difference, so the likelihood stops moving
-            # while the score hovers just above tol.  Apply the raw Newton
-            # direction in (alpha, beta) space instead -- shrinking it only
-            # as needed to keep the cut points increasing -- and accept any
-            # step that strictly shrinks the score without a measurable
-            # likelihood loss.
-            step = 1.0
-            for _ in range(20):
-                alpha_new = alpha - step * v_a
-                beta_new = beta - step * v_b
-                if n_alpha == 1 or np.all(np.diff(alpha_new) > 0.0):
-                    pi_new = _clm_pi(alpha_new, beta_new, codes, Xm, fam)
-                    if pi_new is not None:
-                        dll = float(np.sum(np.log(pi_new / pi_cur)))
-                        if dll >= -1e-9 * (1.0 + abs(ll)):
-                            probe = _clm_score(alpha_new, beta_new, codes, Xm, fam)
-                            gmax_new = max(
-                                float(np.max(np.abs(probe[1]))) if probe[1].size else 0.0,
-                                float(np.max(np.abs(probe[2]))) if probe[2].size else 0.0,
-                            )
-                            if gmax_new < gmax:
-                                theta_new = np.empty_like(theta)
-                                theta_new[0] = alpha_new[0]
-                                if n_alpha > 1:
-                                    theta_new[1:n_alpha] = np.log(np.diff(alpha_new))
-                                theta_new[n_alpha:] = beta_new
-                                accepted = True
-                                break
-                step *= 0.5
-            if not accepted:
-                converged = False
-                notes.append("line search stalled")
-                break
+        else:
+            notes.append("line search stalled")
+            break
 
         theta = theta_new
         pi_cur = pi_new
@@ -491,15 +468,11 @@ def fit_cumulative_link(
         alpha, beta = _decode_theta(theta, n_alpha)
         ll, g_a, g_b, h_d, h_o, h_ab, h_bb = _clm_score(alpha, beta, codes, Xm, fam)
 
-    if not converged and not separated and not notes:
-        raise ConvergenceError(
-            f"cumulative-link fit of {y.name!r} did not converge: "
-            f"gradient max-norm {gmax:.3e} after {iterations} iterations"
-        )
+    gmax = float(np.max(np.abs(np.concatenate([g_a, g_b]))))
     if not converged and not separated:
         raise ConvergenceError(
-            f"cumulative-link fit of {y.name!r} failed ({notes[-1]}): "
-            f"gradient max-norm {gmax:.3e} after {iterations} iterations"
+            f"cumulative-link fit of {y.name!r} failed ({notes[-1]}): score max-norm "
+            f"{gmax:.3e}, Newton decrement {decrement:.3e} after {iterations} iterations"
         )
     return ModelFit(
         link=link,
@@ -598,47 +571,41 @@ def fit_linear_normal(y: Column, X: DesignMatrix | None = None) -> ModelFit:
     )
 
 
-def _newton_loglinear(full, yvec, coef, loglik_at, tol, max_iter, label):
+def _newton_loglinear(full, yvec, coef, loglik_at, max_iter, label):
     """Shared Newton driver for log-link GLMs with score full'(yvec - aux).
 
     ``loglik_at`` maps coefficients to (loglik, aux) where ``aux`` is the
     per-observation fitted mean entering both the score and the information
     matrix full' diag(aux) full.  Step-halving keeps the likelihood
-    nondecreasing; a terminal full step is accepted if it halves the score
-    norm while moving the likelihood by no more than rounding noise.
+    nondecreasing until the Newton decrement is at most ``DECREMENT_TOL``;
+    that full step is then taken without the likelihood test and ends the fit.
     """
     ll, aux = loglik_at(coef)
     iterations = 0
     while True:
         grad = full.T @ (yvec - aux)
-        gmax = float(np.max(np.abs(grad)))
-        if gmax <= tol:
-            return coef, ll, iterations, gmax
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"{label} did not converge: gradient max-norm {gmax:.3e} "
-                f"after {iterations} iterations"
-            )
-        iterations += 1
         try:
             direction = np.linalg.solve(full.T @ (full * aux[:, None]), grad)
         except np.linalg.LinAlgError:
             raise ConvergenceError(f"{label}: singular information matrix") from None
+        decrement = float(grad @ direction)
+        if iterations >= max_iter:
+            raise ConvergenceError(
+                f"{label} did not converge: score max-norm {np.max(np.abs(grad)):.3e}, "
+                f"Newton decrement {decrement:.3e} after {iterations} iterations"
+            )
+        iterations += 1
+        if decrement <= DECREMENT_TOL:
+            coef = coef + direction
+            ll, aux = loglik_at(coef)
+            return coef, ll, iterations, float(np.max(np.abs(full.T @ (yvec - aux))))
         step = 1.0
-        accepted = False
         for _ in range(40):
             ll_new, aux_new = loglik_at(coef + step * direction)
             if ll_new > ll:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            step = 1.0
-            ll_new, aux_new = loglik_at(coef + direction)
-            if aux_new is not None and ll_new >= ll - 1e-9 * (1.0 + abs(ll)):
-                gmax_new = float(np.max(np.abs(full.T @ (yvec - aux_new))))
-                accepted = gmax_new < 0.5 * gmax
-        if not accepted:
+        else:
             raise ConvergenceError(f"{label}: line search stalled")
         coef = coef + step * direction
         ll, aux = ll_new, aux_new
@@ -648,7 +615,6 @@ def fit_poisson(
     y: Column,
     X: DesignMatrix | None = None,
     *,
-    tol: float = GRADIENT_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> ModelFit:
     """Log-link Poisson regression by iteratively reweighted least squares."""
@@ -672,7 +638,7 @@ def fit_poisson(
     start = np.zeros(p + 1)
     start[0] = np.log(ybar)
     coef, ll, iterations, gmax = _newton_loglinear(
-        full, yv, start, loglik_at, tol, max_iter, f"poisson fit of {y.name!r}"
+        full, yv, start, loglik_at, max_iter, f"poisson fit of {y.name!r}"
     )
     return ModelFit(
         link="log-poisson",
@@ -692,7 +658,6 @@ def fit_exponential_survival(
     y: Column,
     X: DesignMatrix | None = None,
     *,
-    tol: float = GRADIENT_TOL,
     max_iter: int = MAX_ITERATIONS,
 ) -> ModelFit:
     """Exponential survival regression, rate_i = exp(alpha + x_i' beta).
@@ -727,7 +692,7 @@ def fit_exponential_survival(
     start = np.zeros(p + 1)
     start[0] = np.log(delta.sum() / times.sum())
     coef, ll, iterations, gmax = _newton_loglinear(
-        full, delta, start, loglik_at, tol, max_iter, f"exponential fit of {y.name!r}"
+        full, delta, start, loglik_at, max_iter, f"exponential fit of {y.name!r}"
     )
     return ModelFit(
         link="log-exponential",

@@ -253,13 +253,16 @@ def _perm_pvalue(u, v, observed, n_perm, rng, stat):
 
 def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat):
     """Percentile interval per output from a pairs bootstrap that refits both
-    margins, and the number of replicates that failed."""
+    margins, the number of replicates that failed and the number whose
+    refits capped coefficients for separation."""
     n = x.n
     draws = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    capped = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         for _ in range(n_boot):
             idx = rng.integers(0, n, size=n)
+            caught.clear()
             try:
                 zb = Z.take(idx) if Z is not None else None
                 u = margin_psr(x.take(idx), zb, x_model).values
@@ -267,10 +270,11 @@ def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat):
                 draws.append(stat(u, v, idx))
             except NumericError:
                 pass
+            capped += any("coefficients capped" in str(w.message) for w in caught)
     if len(draws) < max(2, n_boot // 2):
         raise NumericError(f"bootstrap failed: only {len(draws)} of {n_boot} replicates usable")
     lo, hi = np.nanpercentile(np.array(draws), [2.5, 97.5], axis=0).reshape(2, -1)
-    return lo.tolist(), hi.tolist(), n_boot - len(draws)
+    return lo.tolist(), hi.tolist(), n_boot - len(draws), capped
 
 
 def _resampled_results(
@@ -286,12 +290,14 @@ def _resampled_results(
     notes: list[str] = []
     if n_boot:
         rng = _substream(seed, *tags, _TAG_BOOT)
-        ci_low, ci_high, failures = _bootstrap_ci(
+        ci_low, ci_high, failures, capped = _bootstrap_ci(
             x, y, Z, x_model, y_model, n_boot, rng, stat
         )
         info.append(ResamplingInfo("bootstrap", n_boot, seed))
         if failures:
             notes.append(f"{failures} of {n_boot} bootstrap replicates failed and were dropped")
+        if capped:
+            notes.append(f"{capped} of {n_boot} bootstrap replicates capped coefficients")
     if n_perm:
         rng = _substream(seed, *tags, _TAG_PERM)
         p = _perm_pvalue(u, v, observed, n_perm, rng, stat)

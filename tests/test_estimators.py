@@ -12,7 +12,12 @@ from scipy import special
 
 from psrkit.data_model import Column, DesignMatrix
 from psrkit.estimators import (
+    CUMULATIVE_LINKS,
+    DECREMENT_TOL,
     ModelFit,
+    _clm_pi,
+    _clm_score,
+    _solve_bordered,
     fit_cumulative_link,
     fit_empirical,
     fit_exponential_survival,
@@ -186,6 +191,20 @@ class TestCumulativeLink:
                 max_iter=1,
             )
 
+    @pytest.mark.parametrize("seed", [583, 780])
+    def test_single_row_top_level_converges(self, seed):
+        # a 3-level predictor whose top level has one row, as in a genotype scan
+        rng = np.random.default_rng(seed)
+        n = 295
+        Z = np.column_stack([rng.normal(50, 10, n), rng.integers(0, 2, n)])
+        x = rng.binomial(1, rng.uniform(0.1, 0.5), n).astype(float)
+        x[rng.integers(n)] = 2.0
+        fit = fit_cumulative_link(
+            Column.continuous("x", x), DesignMatrix(Z, ("age", "sex")), "logit"
+        )
+        assert fit.converged
+        assert fit.grad_max_norm < 1e-8
+
     def test_constant_outcome_rejected(self):
         with pytest.raises(DegenerateFitError):
             fit_cumulative_link(Column.continuous("y", np.ones(10)), None, "logit")
@@ -195,6 +214,41 @@ class TestCumulativeLink:
             fit_cumulative_link(
                 Column.continuous("y", np.arange(10.0)), None, "cauchit"
             )
+
+
+def _all_distinct(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.logistic(size=(n, 3))
+    y = X @ [0.5, -0.3, 0.2] + rng.logistic(size=n)
+    return Column.continuous("y", y), DesignMatrix(X, ("a", "b", "c"))
+
+
+class TestLargeSupport:
+    """Continuous outcomes with one cut point per row."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ten_thousand_rows_stationary(self, seed):
+        fit = fit_cumulative_link(*_all_distinct(10_000, seed))
+        assert fit.converged and fit.iterations <= 15
+        assert fit.grad_max_norm < 1e-6
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fifty_thousand_rows_newton_step_gains_nothing(self, seed):
+        # the score's rounding noise is about 2e-6 at this size, so optimality
+        # is checked through one more raw Newton step in (alpha, beta) space
+        y, X = _all_distinct(50_000, seed)
+        fit = fit_cumulative_link(y, X)
+        assert fit.converged and fit.iterations <= 15
+        codes = np.unique(y.values, return_inverse=True)[1]
+        fam = CUMULATIVE_LINKS["logit"]
+        _, g_a, g_b, h_d, h_o, h_ab, h_bb = _clm_score(
+            fit.alpha, fit.beta, codes, X.matrix, fam
+        )
+        v_a, v_b = _solve_bordered(h_d, h_o, h_ab, h_bb, g_a, g_b, 0.0)
+        assert abs(g_a @ v_a + g_b @ v_b) <= DECREMENT_TOL
+        pi = _clm_pi(fit.alpha, fit.beta, codes, X.matrix, fam)
+        pi_step = _clm_pi(fit.alpha - v_a, fit.beta - v_b, codes, X.matrix, fam)
+        assert np.sum(np.log(pi_step / pi)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -317,11 +317,11 @@ class TestResamplingEngine:
             assert r.ci_low <= r.ci_high
             assert r.notes == ()
             assert {i.kind for i in r.resampling} == {"bootstrap", "permutation"}
-        # values of the grid loop the engine replaced, at the same seed
+        # values captured under the Newton-decrement stopping rule, same seed
         z, r = curve[3]
         assert z == 0.5012730521944495
-        assert r.estimate == 0.5434643716264951
-        assert (r.ci_low, r.ci_high) == (0.3155651231071341, 0.7076936012700502)
+        assert r.estimate == 0.5434643716264947
+        assert (r.ci_low, r.ci_high) == (0.315565123203207, 0.7076936012595737)
         assert r.p_value == 0.025
         assert curve[2][1].p_value == 0.625
 
@@ -338,6 +338,24 @@ class TestResamplingEngine:
         _fail_x_refits(monkeypatch, set(range(11, 40)))
         with pytest.raises(NumericError, match="only 9 of 20 replicates usable"):
             estimate(n_boot=20, n_perm=0)
+
+    def test_capped_replicates_counted_after_failures(self, monkeypatch):
+        # x = 1[z > 0] but for the row with the largest z: resamples that
+        # leave that row out are completely separated
+        rng = np.random.default_rng(12)
+        z = rng.normal(0, 1, 40)
+        x = (z > 0).astype(float)
+        x[np.argmax(z)] = 0.0
+        y = z + rng.normal(0, 1, 40)
+        _fail_x_refits(monkeypatch, {2})
+        r = partial_spearman(
+            Column.binary("x", x), Column.continuous("y", y),
+            DesignMatrix(z[:, None], ("z",)), n_boot=20, n_perm=0, seed=3,
+        )
+        assert r.notes == (
+            "1 of 20 bootstrap replicates failed and were dropped",
+            "4 of 20 bootstrap replicates capped coefficients",
+        )
 
 
 class TestBatchScan:
