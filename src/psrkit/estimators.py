@@ -302,9 +302,14 @@ def _clm_score(alpha, beta, codes, Xm, fam):
         h_off = np.zeros(0)
 
     if p:
-        h_ab = np.zeros((n_alpha, p))
-        np.add.at(h_ab, codes[hi], -(a_ii + c_ij)[hi, None] * Xm[hi])
-        np.add.at(h_ab, codes[lo] - 1, -(b_ii + c_ij)[lo, None] * Xm[lo])
+        # the hi rows then the lo rows, each summed in row order
+        at = np.concatenate([codes[hi], codes[lo] - 1])
+        terms = np.concatenate(
+            [-(a_ii + c_ij)[hi, None] * Xm[hi], -(b_ii + c_ij)[lo, None] * Xm[lo]]
+        )
+        h_ab = np.column_stack(
+            [np.bincount(at, weights=terms[:, k], minlength=n_alpha) for k in range(p)]
+        )
         w = a_ii + b_ii + 2.0 * c_ij
         h_bb = Xm.T @ (Xm * w[:, None])
     else:

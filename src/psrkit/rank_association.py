@@ -222,32 +222,54 @@ def _check_pair(x: Column, y: Column) -> None:
             raise InputError(f"column {c.name!r} has missing values; run complete_cases first")
 
 
-def _pearson(u: np.ndarray, v: np.ndarray, rows=None) -> float:
+def _pearson(u: np.ndarray, v: np.ndarray, rows=None):
+    """Pearson correlation of u with v, or with each row of a (b, n) stack."""
     uc = u - u.mean()
-    vc = v - v.mean()
     su = float(np.sqrt(uc @ uc))
+    if v.ndim == 2:
+        vc = v - v.mean(axis=1, keepdims=True)
+        sv = np.sqrt(np.einsum("ij,ij->i", vc, vc))
+        return (vc @ uc) / (su * sv)
+    vc = v - v.mean()
     sv = float(np.sqrt(vc @ vc))
     if su <= 0.0 or sv <= 0.0:
         raise DegenerateFitError("residual vector has zero variance (constant column?)")
     return float((uc @ vc) / (su * sv))
 
 
-def _mean_product(u: np.ndarray, v: np.ndarray, rows=None) -> float:
+def _mean_product(u: np.ndarray, v: np.ndarray, rows=None):
+    if v.ndim == 2:
+        return (v @ u) / u.size
     return float(np.mean(u * v))
 
 
 # A statistic maps residual vectors ``(u, v, rows)`` to one float, or to an
 # array with one value per output.  ``rows`` is None for the data as given
-# (the estimate and every permutation) and a bootstrap replicate's row
-# indices otherwise, for statistics that depend on more than u and v.
+# and a bootstrap replicate's row indices otherwise, for statistics that
+# depend on more than u and v.  For permutations ``v`` is a (b, n) stack of
+# permuted copies and the statistic returns one value per copy (and output).
+
+#: index cells (draws x rows) in one block of permutation draws
+_PERM_BLOCK_CELLS = 1 << 16
+
+#: a permuted statistic within this of |observed| counts as a tie
+_TIE_EPS = 1e-12
 
 
 def _perm_pvalue(u, v, observed, n_perm, rng, stat):
-    """(1 + b) / (B + 1) per output, b counting draws at least as extreme."""
+    """(1 + b) / (B + 1) per output, b counting draws with |T_b| >= |T_obs| - eps.
+
+    Each block of draws is one ``rng.permuted`` call on stacked index rows,
+    which gives the same permutations as one ``rng.permutation(n)`` per draw.
+    """
+    n = v.size
+    block = max(1, _PERM_BLOCK_CELLS // n)
+    target = np.abs(observed) - _TIE_EPS
     hits = 0
-    target = abs(observed)
-    for _ in range(n_perm):
-        hits += abs(stat(u, rng.permutation(v), None)) >= target
+    for start in range(0, n_perm, block):
+        index = np.tile(np.arange(n), (min(block, n_perm - start), 1))
+        stats = stat(u, v[rng.permuted(index, axis=1)], None)
+        hits = hits + np.count_nonzero(np.abs(stats) >= target, axis=0)
     return (1 + hits) / (n_perm + 1)
 
 
@@ -480,19 +502,20 @@ def _silverman_bandwidth(zv: np.ndarray) -> float:
     return 0.9 * spread * zv.size ** (-0.2)
 
 
-def _weighted_corr(u, v, w) -> float:
+def _weighted_corr(u, v, w):
+    """Weighted correlation of u with v, or with each row of a (b, n) stack."""
     sw = w.sum()
     if sw <= 0:
-        return np.nan
+        return np.full(v.shape[:-1], np.nan)
     mu = (w @ u) / sw
-    mv = (w @ v) / sw
+    mv = (v @ w) / sw
     cu = u - mu
-    cv = v - mv
+    cv = v - mv[..., None]
     vu = w @ np.square(cu)
-    vv = w @ np.square(cv)
-    if vu <= 0 or vv <= 0:
-        return np.nan
-    return float((w @ (cu * cv)) / np.sqrt(vu * vv))
+    vv = np.square(cv) @ w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = ((cu * cv) @ w) / np.sqrt(vu * vv)
+    return np.where((vu > 0) & (vv > 0), r, np.nan)
 
 
 def _conditional_continuous(x, y, z, x_model, y_model, n_grid, bandwidth, n_boot, n_perm, seed):
@@ -512,7 +535,7 @@ def _conditional_continuous(x, y, z, x_model, y_model, n_grid, bandwidth, n_boot
 
     def curve(u, v, rows) -> np.ndarray:
         w = weights if rows is None else kernel(zv[rows])
-        return np.array([_weighted_corr(u, v, w[g]) for g in range(n_grid)])
+        return np.stack([_weighted_corr(u, v, w[g]) for g in range(n_grid)], axis=-1)
 
     results = _resampled_results(
         x, y, Zd, x_model or "orm-logit", y_model or "orm-logit",
@@ -563,7 +586,8 @@ def _scan_single(col, idx, ypsr, zmat, znames, x_model, n_perm, seed) -> ScanRow
         )
     Zsub = DesignMatrix(zmat[rows], znames) if zmat is not None else None
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        # the fit's notes carry a separation into ``detail``
+        warnings.filterwarnings("ignore", ".*complete separation suspected")
         try:
             fit, r = _margin_fit(xs, Zsub, x_model)
         except PsrKitError as exc:
@@ -580,7 +604,7 @@ def _scan_single(col, idx, ypsr, zmat, znames, x_model, n_perm, seed) -> ScanRow
     except DegenerateFitError as exc:
         return ScanRow(col.name, np.nan, np.nan, n_used, "degenerate", str(exc))
     rng = _substream(seed, _TAG_SCAN, idx)
-    p = _perm_pvalue(u, v, est, n_perm, rng, _pearson)
+    p = float(_perm_pvalue(u, v, est, n_perm, rng, _pearson))
     return ScanRow(col.name, est, p, n_used, "ok", "; ".join(fit.notes))
 
 

@@ -1,4 +1,7 @@
 """Rank association: bridges to classical Spearman, resampling, batch scan."""
+import copy
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -358,6 +361,96 @@ class TestResamplingEngine:
         )
 
 
+def _loop_pvalue(u, v, observed, n_perm, rng, stat):
+    """One ``rng.permutation`` and one 1-d statistic per draw."""
+    hits = 0
+    for _ in range(n_perm):
+        hits = hits + (np.abs(stat(u, rng.permutation(v), None)) >= np.abs(observed))
+    return (1 + hits) / (n_perm + 1)
+
+
+def _spy_perm_pvalue(monkeypatch):
+    """Record the arguments of every permutation test, with the generator
+    as it stood before the draws."""
+    calls = []
+    real = ra._perm_pvalue
+
+    def spy(u, v, observed, n_perm, rng, stat):
+        calls.append((u, v, observed, n_perm, copy.deepcopy(rng), stat))
+        return real(u, v, observed, n_perm, rng, stat)
+
+    monkeypatch.setattr(ra, "_perm_pvalue", spy)
+    return calls
+
+
+class TestBlockedPermutations:
+    @pytest.mark.parametrize("rows", [1, 7, 23, None], ids=["1", "7", "all", "default"])
+    def test_blocks_draw_the_sequential_permutations(self, monkeypatch, rows):
+        n, n_perm = 30, 23
+        if rows is not None:
+            monkeypatch.setattr(ra, "_PERM_BLOCK_CELLS", rows * n)
+        stacks = []
+
+        def record(u, v, rows):
+            stacks.append(v.copy())
+            return np.zeros(len(v))
+
+        rng = ra._substream(11, ra._TAG_SCAN, 4)
+        ra._perm_pvalue(np.zeros(n), np.arange(float(n)), 1.0, n_perm, rng, record)
+        rng = ra._substream(11, ra._TAG_SCAN, 4)
+        expected = [rng.permutation(n) for _ in range(n_perm)]
+        assert np.array_equal(np.vstack(stacks), expected)
+        if rows is not None:
+            assert [len(s) for s in stacks[:-1]] == [rows] * (len(stacks) - 1)
+
+    def test_block_size_and_per_draw_reference(self, monkeypatch):
+        cx, cy, cz = _curve_columns()
+        n, n_perm = cx.n, 39
+
+        def run():
+            return [
+                spearman(cx, cy, n_perm=n_perm, seed=3).p_value,
+                psr_covariance(cx, cy, n_perm=n_perm, seed=3).p_value,
+                *[r.p_value for _, r in conditional_spearman(
+                    cx, cy, cz, n_grid=4, n_perm=n_perm, seed=3
+                )],
+            ]
+
+        calls = _spy_perm_pvalue(monkeypatch)
+        p_default = run()
+        for rows in (1, n_perm):
+            monkeypatch.setattr(ra, "_PERM_BLOCK_CELLS", rows * n)
+            assert run() == p_default
+        # continuous data: no permuted statistic ties the observed one
+        assert [call[5] for call in calls[:2]] == [ra._pearson, ra._mean_product]
+        reference = []
+        for call in calls[:3]:
+            reference.extend(np.atleast_1d(_loop_pvalue(*call)))
+        assert reference == p_default
+
+    def test_exact_ties_count_as_extreme(self):
+        # binary x against a 3-level y: the numerator of each permuted
+        # Spearman is an integer sum, so ties with the observed one are exact
+        rng = np.random.default_rng(2024)
+        n, n_perm, seed = 40, 199, 0
+        x = rng.integers(0, 2, n).astype(float)
+        y = rng.integers(0, 3, n)
+
+        def scaled_psr(a):  # n * (F(a-) + F(a) - 1), in integers
+            return np.array([np.sum(a < t) + np.sum(a <= t) - n for t in a])
+
+        U, V = scaled_psr(x), scaled_psr(y)
+        rng = ra._substream(seed, ra._TAG_PERM)
+        extreme = sum(
+            abs(U @ V[rng.permutation(n)]) >= abs(U @ V) for _ in range(n_perm)
+        )
+        r = spearman(
+            Column.binary("x", x), Column.ordinal("y", y, ("a", "b", "c")),
+            n_perm=n_perm, seed=seed,
+        )
+        assert r.p_value == (1 + extreme) / (n_perm + 1)
+
+
 class TestBatchScan:
     def _setup(self, rng, n=150, n_null=10):
         z = rng.normal(0, 1, n)
@@ -428,6 +521,27 @@ class TestBatchScan:
         (row,) = batch_partial_spearman(y, Z, [x], ScanConfig(n_perm=9, seed=5))
         assert row.status == "ok"
         assert "capped" in row.detail
+
+    def test_only_separation_warnings_silenced(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        n = 200
+        age_z = rng.normal(0, 1, n)
+        y = Column.continuous("y", age_z + rng.normal(0, 1, n))
+        Z = DesignMatrix(age_z[:, None], ("age_z",))
+        x = Column.continuous("x", (age_z > 0).astype(float))
+        real = ra._margin_fit
+
+        def noisy(col, Z, model):
+            if col.name == "x":
+                warnings.warn("an unrelated fit warning")
+            return real(col, Z, model)
+
+        monkeypatch.setattr(ra, "_margin_fit", noisy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (row,) = batch_partial_spearman(y, Z, [x], ScanConfig(n_perm=9, seed=5))
+        assert "capped" in row.detail
+        assert [str(w.message) for w in caught] == ["an unrelated fit warning"]
 
     def test_seed_required(self):
         rng = np.random.default_rng(23)
