@@ -24,10 +24,12 @@ import numpy as np
 from .data_model import (
     Column,
     ColumnKind,
+    ColumnSpec,
     Dataset,
     DesignMatrix,
     MISSING_TOKEN,
     build_design,
+    complete_cases,
     load_csv,
 )
 from .diagnostics import (
@@ -109,19 +111,8 @@ def _load_complete(
     number of rows removed.
     """
     d = load_csv(path, schema)
-    mask = np.ones(d.n, dtype=bool)
-    seen = set()
-    for name in needed:
-        if name in seen:
-            continue
-        seen.add(name)
-        mask &= ~d[name].missing
-    if not mask.any():
-        raise InputError("no rows are complete in the required columns")
-    kept = np.flatnonzero(mask)
-    if kept.size == d.n:
-        return d, kept, 0
-    return d.take(kept), kept, int(d.n - kept.size)
+    complete, kept = complete_cases(d, needed)
+    return complete, kept, d.n - kept.size
 
 
 def _model_columns(spec) -> list[str]:
@@ -366,40 +357,15 @@ def _cmd_pcor(args) -> int:
 
 
 def _load_predictors(path: str, n_expected: int, kept: np.ndarray) -> list[Column]:
+    """Every column of the predictor file, read as continuous, at the ``kept`` rows."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty predictor file") from None
-        rows = list(reader)
-    if len(rows) != n_expected:
+        header = next(csv.reader(fh), [])
+    d = load_csv(path, tuple(ColumnSpec(name, ColumnKind.CONTINUOUS) for name in header))
+    if d.n != n_expected:
         raise InputError(
-            f"{path}: has {len(rows)} data rows but the main table has {n_expected}"
+            f"{path}: has {d.n} data rows but the main table has {n_expected}"
         )
-    if len(set(header)) != len(header):
-        raise InputError(f"{path}: duplicate predictor names")
-    cols: list[Column] = []
-    for j, name in enumerate(header):
-        vals = np.zeros(len(rows))
-        miss = np.zeros(len(rows), dtype=bool)
-        for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise InputError(
-                    f"{path}: row {i + 1} has {len(row)} fields, expected {len(header)}"
-                )
-            tok = row[j].strip()
-            if tok == "" or tok == MISSING_TOKEN:
-                miss[i] = True
-            else:
-                try:
-                    vals[i] = float(tok)
-                except ValueError:
-                    raise InputError(
-                        f"{path}: column {name!r} row {i + 1}: {tok!r} is not a number"
-                    ) from None
-        cols.append(Column.continuous(name, vals, missing=miss).take(kept))
-    return cols
+    return list(d.take(kept).columns)
 
 
 def _cmd_scan(args) -> int:

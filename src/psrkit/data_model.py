@@ -6,9 +6,9 @@ missingness.  Values are held as float64 arrays; ordinal columns store
 integer level codes (0..L-1) alongside their ordered labels, and
 right-censored columns carry a parallel 0/1 event array.
 
-CSV files follow the usual quoting conventions; a missing cell is an empty
-field or the literal ``NA``.  A textual schema declares each column's kind,
-for example::
+CSV files follow the usual quoting conventions; a missing cell is one whose
+text, stripped of surrounding blanks, is empty or the literal ``NA``.  A
+textual schema declares each column's kind, for example::
 
     age:continuous,stage:ordinal(normal<ASCUS<low<high<cancer),os:surv(time,event)
 
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MISSING_TOKEN = "NA"
+_MISSING_CELLS = frozenset({"", MISSING_TOKEN})
 
 
 class ColumnKind(enum.Enum):
@@ -165,10 +166,6 @@ class Column:
     def is_orderable(self) -> bool:
         return self.kind in ORDERABLE_KINDS
 
-    def observed(self) -> np.ndarray:
-        """Values at non-missing rows."""
-        return self.values[~self.missing]
-
     def take(self, idx: np.ndarray) -> "Column":
         """Row subset / resample (bootstrap-style indexing allowed)."""
         ev = None if self.events is None else self.events[idx]
@@ -199,7 +196,6 @@ class Dataset:
     """An ordered collection of equal-length columns with unique names."""
 
     columns: tuple[Column, ...]
-    row_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -210,8 +206,6 @@ class Dataset:
         n = self.columns[0].n
         if any(c.n != n for c in self.columns):
             raise InputError("columns have unequal lengths")
-        if self.row_ids is not None and len(self.row_ids) != n:
-            raise InputError("row_ids length does not match columns")
 
     @property
     def n(self) -> int:
@@ -231,10 +225,7 @@ class Dataset:
         raise InputError(f"no column named {name!r}")
 
     def take(self, idx: np.ndarray) -> "Dataset":
-        rid = None
-        if self.row_ids is not None:
-            rid = tuple(self.row_ids[int(i)] for i in idx)
-        return Dataset(tuple(c.take(idx) for c in self.columns), row_ids=rid)
+        return Dataset(tuple(c.take(idx) for c in self.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +318,18 @@ def _split_outside_parens(
 
 
 def _is_missing(tok: str) -> bool:
-    return tok == "" or tok == MISSING_TOKEN
+    """The one missing-cell rule: stripped of blanks, the cell is empty or ``NA``."""
+    return tok.strip() in _MISSING_CELLS
 
 
 def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
     """Read a CSV file into a :class:`Dataset` following a schema.
 
-    Header fields not named by the schema are ignored.  Cells that are empty
-    or ``NA`` are recorded as missing.  Malformed cells raise
-    :class:`SchemaError` with the row number (1-based, excluding header).
+    Header fields not named by the schema are ignored; a field the schema
+    reads must appear in the header exactly once.  Cells that are empty or
+    ``NA`` (after stripping blanks) are recorded as missing.  Malformed cells
+    raise :class:`SchemaError` with the path and the row number (1-based,
+    excluding header).
     """
     if isinstance(schema, str):
         schema = parse_schema(schema)
@@ -347,10 +341,13 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
             raise SchemaError(f"{path}: empty file") from None
         rows = list(reader)
     index = {name: i for i, name in enumerate(header)}
+    repeated = {name for i, name in enumerate(header) if index[name] != i}
 
     def field_idx(name: str) -> int:
         if name not in index:
             raise SchemaError(f"{path}: schema field {name!r} not in header {header}")
+        if name in repeated:
+            raise SchemaError(f"{path}: field {name!r} appears more than once in the header")
         return index[name]
 
     n = len(rows)
@@ -360,6 +357,7 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
 
     columns: list[Column] = []
     for spec in schema:
+        where = f"{path}: column {spec.name!r}"
         if spec.kind is ColumnKind.RIGHT_CENSORED:
             ti, ei = field_idx(spec.time_field), field_idx(spec.event_field)
             vals = np.zeros(n)
@@ -370,8 +368,8 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
                 if _is_missing(t_tok) or _is_missing(e_tok):
                     miss[rn] = True
                     continue
-                vals[rn] = _parse_float(t_tok, spec.name, rn + 1)
-                evs[rn] = _parse_float(e_tok, spec.name, rn + 1)
+                vals[rn] = _parse_float(t_tok, where, rn + 1)
+                evs[rn] = _parse_float(e_tok, where, rn + 1)
             columns.append(
                 Column.right_censored(
                     spec.name, vals, evs, missing=miss,
@@ -391,9 +389,7 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
                 elif tok in code:
                     vals[rn] = code[tok]
                 else:
-                    raise SchemaError(
-                        f"column {spec.name!r} row {rn + 1}: {tok!r} is not a declared level"
-                    )
+                    raise SchemaError(f"{where} row {rn + 1}: {tok!r} is not a declared level")
             columns.append(Column.ordinal(spec.name, vals, spec.levels, missing=miss))
         else:
             for rn, row in enumerate(rows):
@@ -401,18 +397,18 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
                 if _is_missing(tok):
                     miss[rn] = True
                 else:
-                    vals[rn] = _parse_float(tok, spec.name, rn + 1)
+                    vals[rn] = _parse_float(tok, where, rn + 1)
             columns.append(Column(spec.name, spec.kind, vals, miss))
     return Dataset(tuple(columns))
 
 
-def _parse_float(tok: str, col: str, rownum: int) -> float:
+def _parse_float(tok: str, where: str, rownum: int) -> float:
     try:
         v = float(tok)
     except ValueError:
-        raise SchemaError(f"column {col!r} row {rownum}: cannot parse {tok!r}") from None
+        raise SchemaError(f"{where} row {rownum}: cannot parse {tok!r}") from None
     if not math.isfinite(v):
-        raise SchemaError(f"column {col!r} row {rownum}: non-finite value {tok!r}")
+        raise SchemaError(f"{where} row {rownum}: non-finite value {tok!r}")
     return v
 
 
@@ -460,21 +456,24 @@ def write_csv(d: Dataset, path) -> None:
             w.writerow(row)
 
 
-def complete_cases(d: Dataset, cols: tuple[str, ...] | list[str]) -> tuple[Dataset, int]:
+def complete_cases(
+    d: Dataset, cols: tuple[str, ...] | list[str]
+) -> tuple[Dataset, np.ndarray]:
     """Drop rows with a missing value in any of ``cols``.
 
-    Returns the filtered dataset and the number of rows removed.  Raises
-    :class:`InputError` when nothing survives.
+    Returns the filtered dataset and the original indices of the rows kept
+    (``d.n - kept.size`` rows were removed).  Raises :class:`InputError`
+    when nothing survives.
     """
     mask = np.ones(d.n, dtype=bool)
     for name in cols:
         mask &= ~d[name].missing
-    removed = int(d.n - mask.sum())
-    if not mask.any():
-        raise InputError("complete_cases removed every row")
-    if removed == 0:
-        return d, 0
-    return d.take(np.flatnonzero(mask)), removed
+    kept = np.flatnonzero(mask)
+    if kept.size == 0:
+        raise InputError("no rows are complete in the required columns")
+    if kept.size == d.n:
+        return d, kept
+    return d.take(kept), kept
 
 
 # ---------------------------------------------------------------------------

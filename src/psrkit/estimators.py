@@ -242,12 +242,6 @@ def _clm_pi(alpha, beta, codes, Xm, fam) -> np.ndarray | None:
     return pi
 
 
-def _clm_ll(alpha, beta, codes, Xm, fam) -> float:
-    """Log-likelihood, -inf at infeasible points (overflowed increments)."""
-    pi = _clm_pi(alpha, beta, codes, Xm, fam)
-    return -np.inf if pi is None else float(np.log(pi).sum())
-
-
 def _clm_score(alpha, beta, codes, Xm, fam):
     """Log-likelihood, gradient, and Hessian blocks in (alpha, beta) space.
 
@@ -515,11 +509,8 @@ def _check_fit_inputs(y: Column, X: DesignMatrix | None, kinds) -> tuple:
 
 def fit_empirical(y: Column) -> ModelFit:
     """Intercept-only fit whose predictions are the empirical CDF of y."""
-    if y.kind not in ORDERABLE_KINDS:
-        raise InputError(f"column {y.name!r} is not orderable")
-    if y.missing.any():
-        raise InputError(f"column {y.name!r} has missing values; run complete_cases first")
-    support, counts = np.unique(y.values, return_counts=True)
+    yv, _, _ = _check_fit_inputs(y, None, kinds=ORDERABLE_KINDS)
+    support, counts = np.unique(yv, return_counts=True)
     n = y.n
     cum = np.cumsum(counts) / n
     cum[-1] = 1.0
@@ -670,20 +661,12 @@ def fit_exponential_survival(
     Censored maximum likelihood with a log link; the intercept-only solution
     is the classical (number of events) / (total follow-up time).
     """
-    if y.kind is not ColumnKind.RIGHT_CENSORED:
-        raise InputError(f"column {y.name!r} must be right-censored")
-    if y.missing.any():
-        raise InputError(f"column {y.name!r} has missing values; run complete_cases first")
-    times = y.values
+    times, Xm, names = _check_fit_inputs(y, X, kinds={ColumnKind.RIGHT_CENSORED})
     delta = y.events
     if np.any(times <= 0):
         raise InputError(f"column {y.name!r}: follow-up times must be strictly positive")
     if delta.sum() < 1:
         raise DegenerateFitError(f"column {y.name!r}: needs at least one event")
-    if X is not None and X.n != y.n:
-        raise InputError("design matrix and outcome have different lengths")
-    Xm = X.matrix if X is not None else np.zeros((y.n, 0))
-    names = tuple(X.names) if X is not None else ()
     n, p = Xm.shape
     full = np.column_stack([np.ones(n), Xm])
 

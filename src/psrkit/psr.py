@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .data_model import Column, ColumnKind, Dataset, DesignMatrix
+from .data_model import Column, ColumnKind, DesignMatrix
 from .estimators import CUMULATIVE_LINKS, ModelFit
 from .exceptions import InputError
 from .fitted_dist import FittedDistribution
@@ -103,25 +103,16 @@ def psr_from_omers(residuals, source: str = "omer") -> PsrVector:
     return PsrVector((n_less - n_greater) / n, source=source, discrete=True)
 
 
-def _as_outcome_column(data: Dataset | Column, fit: ModelFit) -> Column:
-    if isinstance(data, Column):
-        col = data
-    else:
-        col = data[fit.outcome]
-    if col.name != fit.outcome:
-        raise InputError(f"column {col.name!r} does not match fit outcome {fit.outcome!r}")
-    return col
-
-
-def psr_all(fit: ModelFit, data: Dataset | Column, X: DesignMatrix | None = None) -> PsrVector:
-    """Probability-scale residuals for every row of a dataset under a fit.
+def psr_all(fit: ModelFit, col: Column, X: DesignMatrix | None = None) -> PsrVector:
+    """Probability-scale residuals for every row of an outcome column under a fit.
 
     Equivalent to evaluating :func:`psr` (or :func:`psr_censored` for
     right-censored outcomes) against :func:`predict_distribution` row by
     row, but vectorized per model family.  A right-censored outcome needs
     an exponential-survival fit.
     """
-    col = _as_outcome_column(data, fit)
+    if col.name != fit.outcome:
+        raise InputError(f"column {col.name!r} does not match fit outcome {fit.outcome!r}")
     if col.missing.any():
         raise InputError(f"column {col.name!r} has missing values; run complete_cases first")
     n = col.n

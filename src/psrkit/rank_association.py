@@ -19,6 +19,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -609,19 +610,6 @@ def _scan_single(col, idx, ypsr, zmat, znames, x_model, n_perm, seed) -> ScanRow
     return ScanRow(col.name, est, p, n_used, "ok", "; ".join(fit.notes))
 
 
-#: worker-process state installed by the pool initializer
-_SCAN_STATE: dict = {}
-
-
-def _scan_init(ypsr, zmat, znames, x_model, n_perm, seed) -> None:
-    _SCAN_STATE["args"] = (ypsr, zmat, znames, x_model, n_perm, seed)
-
-
-def _scan_task(payload) -> ScanRow:
-    idx, col = payload
-    return _scan_single(col, idx, *_SCAN_STATE["args"])
-
-
 def batch_partial_spearman(
     y: Column,
     Z: DesignMatrix | None,
@@ -650,19 +638,20 @@ def batch_partial_spearman(
     zmat = Z.matrix if Z is not None else None
     znames = tuple(Z.names) if Z is not None else ()
 
-    tasks = list(enumerate(predictors))
-    for _, col in tasks:
+    for col in predictors:
         if col.n != y.n:
             raise InputError(f"predictor {col.name!r} does not align with the outcome")
-    shared = (ypsr, zmat, znames, config.x_model, config.n_perm, config.seed)
-    if config.workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (config.workers * 8))
-        with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_scan_init, initargs=shared
-        ) as pool:
-            results = list(pool.map(_scan_task, tasks, chunksize=chunk))
+    task = partial(
+        _scan_single, ypsr=ypsr, zmat=zmat, znames=znames,
+        x_model=config.x_model, n_perm=config.n_perm, seed=config.seed,
+    )
+    m = len(predictors)
+    if config.workers > 1 and m > 1:
+        chunk = max(1, m // (config.workers * 8))
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(task, predictors, range(m), chunksize=chunk))
     else:
-        results = [_scan_single(col, idx, *shared) for idx, col in tasks]
+        results = list(map(task, predictors, range(m)))
 
     ok = [r for r in results if r.status == "ok"]
     rest = [r for r in results if r.status != "ok"]

@@ -466,3 +466,41 @@ class TestScan:
              "--predictors", str(bad), "--perm", "9", "--seed", "1"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,a\n" + "1.0,2.0\n" * 40,  # duplicate names
+            "a,b\n" + "1.0,2.0\n" * 39 + "1.0\n",  # short row
+            "",  # empty file
+            "a\n" + "1.0\n" * 39 + "oops\n",  # not a number
+            "a\n" + "1.0\n" * 39 + "inf\n",  # not finite
+        ],
+        ids=["duplicate-names", "short-row", "empty", "non-number", "inf"],
+    )
+    def test_malformed_predictor_file(self, table, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = run(
+            ["scan", "--data", table, "--schema", SCHEMA, "--y", "y",
+             "--predictors", str(bad), "--perm", "9", "--seed", "1"]
+        )
+        assert code == 1
+        assert str(bad) in capsys.readouterr().err
+
+    def test_padded_na_predictor_cell_is_missing(self, table, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        self._predictors(path)
+        rows = _parse_csv(path.read_text())
+        rows[11][1] = " NA"  # p1 at data row 11; row 5, whose y is missing, is dropped
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "s.csv"
+        code = run(
+            ["scan", "--data", table, "--schema", SCHEMA, "--y", "y",
+             "--predictors", str(path), "--perm", "0", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 0
+        by_name = {r[1]: r for r in _parse_csv(out.read_text())[1:]}
+        assert by_name["p1"][4] == "38"
+        assert by_name["p2"][4] == "39"

@@ -28,7 +28,7 @@ class TestColumn:
         c = Column.continuous("x", [1.0, 2.0, 3.0], missing=[False, True, False])
         assert c.kind is ColumnKind.CONTINUOUS
         assert c.n == 3
-        assert list(c.observed()) == [1.0, 3.0]
+        assert list(c.values[~c.missing]) == [1.0, 3.0]
 
     def test_binary_validation(self):
         Column.binary("b", [0, 1, 1, 0])
@@ -108,10 +108,39 @@ class TestCsvIO:
         assert list(d["sex"].missing) == [False, False, False, True]
         assert d["y"].values[3] == 2.5
 
+    def test_padded_missing_token(self, tmp_path):
+        p = self._write(tmp_path, "y,stage\n1.5, NA\n NA ,I\n")
+        d = load_csv(p, "y:continuous,stage:ordinal(I<II)")
+        assert list(d["y"].missing) == [False, True]
+        assert list(d["stage"].missing) == [True, False]
+
     def test_malformed_cell_reports_row(self, tmp_path):
         p = self._write(tmp_path, "y\n1.0\noops\n")
         with pytest.raises(SchemaError, match="row 2"):
             load_csv(p, "y:continuous")
+
+    @pytest.mark.parametrize(
+        "text, schema",
+        [
+            ("y\n1.0\noops\n", "y:continuous"),
+            ("y\ninf\n", "y:continuous"),
+            ("time,event\n1.0,x\n", "t:surv(time,event)"),
+            ("stage\nIV\n", "stage:ordinal(I<II<III)"),
+        ],
+    )
+    def test_cell_errors_name_the_file(self, tmp_path, text, schema):
+        p = self._write(tmp_path, text)
+        with pytest.raises(SchemaError) as err:
+            load_csv(p, schema)
+        assert str(err.value).startswith(f"{p}: ")
+
+    def test_repeated_header_field_rejected(self, tmp_path):
+        p = self._write(tmp_path, "y,y,age\n1,10,5\n2,20,6\n3,30,7\n")
+        with pytest.raises(SchemaError, match="'y' appears more than once") as err:
+            load_csv(p, "y:continuous,age:continuous")
+        assert str(p) in str(err.value)
+        # a repeated field the schema does not read is ignored like any other
+        assert load_csv(p, "age:continuous")["age"].n == 3
 
     def test_missing_header_field(self, tmp_path):
         p = self._write(tmp_path, "x\n1.0\n")
@@ -180,8 +209,9 @@ class TestCompleteCases:
                 Column.continuous("b", [1, 2, 3, 4], missing=[False, False, True, False]),
             )
         )
-        d2, removed = complete_cases(d, ["a", "b"])
-        assert removed == 2
+        d2, kept = complete_cases(d, ["a", "b"])
+        assert list(kept) == [1, 3]
+        assert d.n - kept.size == 2
         assert list(d2["a"].values) == [2.0, 4.0]
 
     def test_all_rows_removed(self):
@@ -291,6 +321,3 @@ class TestDataset:
         with pytest.raises(InputError):
             d["nope"]
 
-    def test_take_keeps_row_ids(self):
-        d = Dataset((Column.continuous("x", [1.0, 2.0]),), row_ids=("a", "b"))
-        assert d.take(np.array([1])).row_ids == ("b",)
