@@ -10,9 +10,13 @@ ordinary logistic regression), and continuous outcomes by treating every
 distinct value as its own category, which makes the fit a semiparametric
 linear transformation model.
 
-Newton steps are taken in the (alpha_1, log-increment) parameterization, so
-the intercepts stay strictly increasing by construction, with step-halving
-to guarantee the log-likelihood never decreases.  The alpha block of the
+Newton steps are taken on (alpha, beta) directly.  For the log-concave links
+offered here (logit, probit, cloglog, loglog) the log-likelihood is concave
+in (alpha, beta) (Pratt, JASA 1981), so the Newton direction is an ascent
+direction; step-halving shortens each step until every observed category
+keeps a positive probability and the log-likelihood rises.  A positive
+probability for every category forces the cut points to stay strictly
+increasing, so no reparameterization is needed.  The alpha block of the
 Hessian is tridiagonal because each observation couples only its own two
 adjacent cut points; steps are solved through that structure plus a p x p
 Schur complement, so one iteration costs O(J + n p + p^3) even when every
@@ -213,15 +217,6 @@ class ModelFit:
 # ---------------------------------------------------------------------------
 
 
-def _decode_theta(theta: np.ndarray, n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    alpha = np.empty(n_alpha)
-    alpha[0] = theta[0]
-    if n_alpha > 1:
-        with np.errstate(over="ignore"):
-            alpha[1:] = theta[0] + np.cumsum(np.exp(theta[1:n_alpha]))
-    return alpha, theta[n_alpha:]
-
-
 def _clm_pi(alpha, beta, codes, Xm, fam) -> np.ndarray | None:
     """Per-observation category probabilities; None at infeasible points."""
     if not np.all(np.isfinite(alpha)):
@@ -344,11 +339,12 @@ def fit_cumulative_link(
 
     Starting values are the link-transformed empirical CDF for alpha and
     zero for beta.  When no ridge was needed and the Newton decrement is at
-    most ``DECREMENT_TOL``, the full step is taken in (alpha, beta) space,
-    keeping the cut points increasing, and the fit stops as converged.
-    Non-convergence raises :class:`ConvergenceError`, except for complete
-    separation (a coefficient beyond +-30 on the link scale) which warns and
-    returns the capped fit so batch scans can continue.
+    most ``DECREMENT_TOL``, the full step is taken if it keeps the cut points
+    increasing, and the fit stops as converged.  Non-convergence raises
+    :class:`ConvergenceError`, except for complete separation (a coefficient
+    beyond +-30 on the link scale): the last step is then shortened to end
+    where the largest coefficient is exactly 30, and the fit warns and
+    returns that capped point so batch scans can continue.
     """
     if link not in CUMULATIVE_LINKS:
         raise InputError(f"unknown cumulative link {link!r}; choose from {sorted(CUMULATIVE_LINKS)}")
@@ -362,16 +358,9 @@ def fit_cumulative_link(
         raise DegenerateFitError(f"outcome {y.name!r} is constant; no cut points to fit")
     n_alpha = n_levels - 1
     counts = np.bincount(codes, minlength=n_levels)
-    ecdf = np.cumsum(counts)[:-1] / n
+    alpha = fam.quantile(np.cumsum(counts)[:-1] / n)
+    beta = np.zeros(p)
 
-    theta = np.empty(n_alpha + p)
-    alpha0 = fam.quantile(ecdf)
-    theta[0] = alpha0[0]
-    if n_alpha > 1:
-        theta[1:n_alpha] = np.log(np.diff(alpha0))
-    theta[n_alpha:] = 0.0
-
-    alpha, beta = _decode_theta(theta, n_alpha)
     pi_cur = _clm_pi(alpha, beta, codes, Xm, fam)
     ll, g_a, g_b, h_d, h_o, h_ab, h_bb = _clm_score(alpha, beta, codes, Xm, fam)
     notes: list[str] = []
@@ -380,42 +369,17 @@ def fit_cumulative_link(
     decrement = np.nan
 
     while not separated:
-        # tail sums of the alpha score feed the reparameterization curvature
-        tail = np.cumsum(g_a[::-1])[::-1]
-        extra = np.zeros(n_alpha)
-        if n_alpha > 1:
-            with np.errstate(over="ignore", under="ignore"):
-                extra[1:] = tail[1:] * np.exp(-np.clip(theta[1:n_alpha], -700, 700))
-        m_diag = h_d + extra
-        m_diag[: n_alpha - 1] += extra[1:]
-        m_off = h_o - extra[1:] if n_alpha > 1 else h_o
-
-        direction = None
         ridge = 0.0
-        scale = float(np.max(np.abs(m_diag))) + 1.0
+        scale = float(np.max(np.abs(h_d))) + 1.0
         for _ in range(12):
             try:
-                v_a, v_b = _solve_bordered(m_diag, m_off, h_ab, h_bb, g_a, g_b, ridge)
-            except np.linalg.LinAlgError:
-                v_a = v_b = None
-            if (
-                v_a is not None
-                and np.all(np.isfinite(v_a))
-                and np.all(np.isfinite(v_b))
-            ):
-                step_a = -v_a
-                d_theta = np.empty_like(theta)
-                d_theta[0] = step_a[0]
-                if n_alpha > 1:
-                    d_theta[1:n_alpha] = np.diff(step_a) * np.exp(
-                        -np.clip(theta[1:n_alpha], -700, 700)
-                    )
-                d_theta[n_alpha:] = -v_b
-                if np.all(np.isfinite(d_theta)):
-                    direction = d_theta
+                v_a, v_b = _solve_bordered(h_d, h_o, h_ab, h_bb, g_a, g_b, ridge)
+                if np.all(np.isfinite(v_a)) and np.all(np.isfinite(v_b)):
                     break
+            except np.linalg.LinAlgError:
+                pass
             ridge = max(ridge * 10.0, 1e-8 * scale)
-        if direction is None:
+        else:
             notes.append("newton step could not be computed")
             break
         decrement = abs(float(g_a @ v_a + g_b @ v_b))
@@ -425,8 +389,6 @@ def fit_cumulative_link(
         iterations += 1
 
         if ridge == 0.0 and decrement <= DECREMENT_TOL:
-            # The last step is taken in (alpha, beta) space: through the
-            # log-increment map a step this small is lost to cancellation.
             alpha_new = alpha - v_a
             if n_alpha == 1 or np.all(np.diff(alpha_new) > 0.0):
                 alpha, beta = alpha_new, beta - v_b
@@ -434,14 +396,13 @@ def fit_cumulative_link(
                 converged = True
                 break
 
-        # step-halving: accept the first step that improves the likelihood.
-        # The improvement is measured as sum(log(pi_new / pi_old)) so that
-        # late-stage gains far below the floating-point resolution of the
-        # total log-likelihood are still visible.
+        # step-halving: accept the first feasible step that improves the
+        # likelihood.  The improvement is measured as sum(log(pi_new / pi_old))
+        # so that late-stage gains far below the floating-point resolution of
+        # the total log-likelihood are still visible.
         step = 1.0
         for _ in range(40):
-            theta_new = theta + step * direction
-            alpha_new, beta_new = _decode_theta(theta_new, n_alpha)
+            alpha_new, beta_new = alpha - step * v_a, beta - step * v_b
             pi_new = _clm_pi(alpha_new, beta_new, codes, Xm, fam)
             if pi_new is not None and float(np.sum(np.log(pi_new / pi_cur))) > 0.0:
                 break
@@ -450,11 +411,14 @@ def fit_cumulative_link(
             notes.append("line search stalled")
             break
 
-        theta = theta_new
-        pi_cur = pi_new
         if p and np.max(np.abs(beta_new)) > SEPARATION_CAP:
-            beta_new = np.clip(beta_new, -SEPARATION_CAP, SEPARATION_CAP)
-            theta[n_alpha:] = beta_new
+            # shorten the accepted step to end where max|beta| reaches the cap;
+            # by concavity that point is no worse than the current iterate
+            over = np.abs(beta_new) > SEPARATION_CAP
+            cap = np.copysign(SEPARATION_CAP, beta_new[over])
+            t = float(np.min((cap - beta[over]) / (beta_new[over] - beta[over])))
+            alpha_new = alpha + t * (alpha_new - alpha)
+            beta_new = np.clip(beta + t * (beta_new - beta), -SEPARATION_CAP, SEPARATION_CAP)
             separated = True
             notes.append(
                 f"complete separation suspected: coefficients capped at |{SEPARATION_CAP}|"
@@ -464,7 +428,7 @@ def fit_cumulative_link(
                 f"coefficients capped at +-{SEPARATION_CAP}",
                 stacklevel=2,
             )
-        alpha, beta = _decode_theta(theta, n_alpha)
+        alpha, beta, pi_cur = alpha_new, beta_new, pi_new
         ll, g_a, g_b, h_d, h_o, h_ab, h_bb = _clm_score(alpha, beta, codes, Xm, fam)
 
     gmax = float(np.max(np.abs(np.concatenate([g_a, g_b]))))

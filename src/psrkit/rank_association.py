@@ -605,8 +605,9 @@ def _scan_single(col, idx, ypsr, zmat, znames, x_model, n_perm, seed) -> ScanRow
         est = _pearson(u, v)
     except DegenerateFitError as exc:
         return ScanRow(col.name, np.nan, np.nan, n_used, "degenerate", str(exc))
-    rng = _substream(seed, _TAG_SCAN, idx)
-    p = float(_perm_pvalue(u, v, est, n_perm, rng, _pearson))
+    p = np.nan
+    if n_perm:
+        p = float(_perm_pvalue(u, v, est, n_perm, _substream(seed, _TAG_SCAN, idx), _pearson))
     return ScanRow(col.name, est, p, n_used, "ok", "; ".join(fit.notes))
 
 
@@ -624,7 +625,8 @@ def batch_partial_spearman(
     from its own seed-derived substream.  Rows with missing predictor cells
     use the remaining rows.  A failed or degenerate predictor is reported
     and the scan continues; a failed outcome fit aborts.  Output is ranked
-    by p-value with |estimate| breaking ties.
+    by p-value with |estimate| breaking ties; with ``n_perm`` = 0 no draw
+    is made, every p-value is NaN and the ranking is by |estimate|.
     """
     if config.n_perm and config.seed is None:
         raise InputError("a seed is required whenever resampling is requested")
@@ -655,7 +657,7 @@ def batch_partial_spearman(
 
     ok = [r for r in results if r.status == "ok"]
     rest = [r for r in results if r.status != "ok"]
-    ok.sort(key=lambda r: (r.p_value, -abs(r.estimate), r.name))
+    ok.sort(key=lambda r: (r.p_value if config.n_perm else 0.0, -abs(r.estimate), r.name))
     ranked = [replace(r, rank=i + 1) for i, r in enumerate(ok)]
     return ranked + rest
 

@@ -430,6 +430,21 @@ class TestScan:
         # 39 kept rows (missing y dropped) minus p0's own missing cell
         assert by_name["p0"][4] == "38"
 
+    def test_perm_zero_needs_no_seed_and_reports_na(self, table, tmp_path, capsys):
+        preds = self._predictors(tmp_path / "preds.csv")
+        out = tmp_path / "s.csv"
+        code = run(
+            ["scan", "--data", table, "--schema", SCHEMA, "--y", "y", "--z", "sex",
+             "--predictors", preds, "--perm", "0", "--out", str(out)]
+        )
+        assert code == 0
+        ok = [r for r in _parse_csv(out.read_text())[1:] if r[5] == "ok"]
+        assert len(ok) == 5
+        assert [r[3] for r in ok] == ["NA"] * 5
+        assert [r[0] for r in ok] == ["1", "2", "3", "4", "5"]
+        sizes = [abs(float(r[2])) for r in ok]
+        assert sizes == sorted(sizes, reverse=True)
+
     def test_row_count_mismatch(self, table, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a\n1.0\n2.0\n")

@@ -15,7 +15,6 @@ from psrkit.estimators import (
     CUMULATIVE_LINKS,
     DECREMENT_TOL,
     ModelFit,
-    _clm_pi,
     _clm_score,
     _solve_bordered,
     fit_cumulative_link,
@@ -33,6 +32,17 @@ from psrkit.fitted_dist import DiscreteSupport, ExponentialDist, NormalDist
 # ---------------------------------------------------------------------------
 # test-local oracles
 # ---------------------------------------------------------------------------
+
+
+def logit_pi_extended(alpha, beta, codes, Xm):
+    """Per-row cumulative-logit category probabilities in ``np.longdouble``."""
+    cuts = np.concatenate([[-np.inf], alpha, [np.inf]]).astype(np.longdouble)
+    xb = Xm.astype(np.longdouble) @ np.asarray(beta, dtype=np.longdouble)
+
+    def cdf(eta):
+        return 1 / (1 + np.exp(-eta))
+
+    return cdf(cuts[codes + 1] - xb) - cdf(cuts[codes] - xb)
 
 
 def irls_logistic(X1, y, iters=200, tol=1e-12):
@@ -179,6 +189,32 @@ class TestCumulativeLink:
         assert np.max(np.abs(fit.beta)) <= 30.0
         assert fit.notes
 
+    def test_capped_fit_has_finite_loglik(self):
+        # the capped point lies on the last accepted step, so every row
+        # keeps a positive probability there
+        rng = np.random.default_rng(81)
+        X = rng.normal(size=(40, 2))
+        y = (X[:, 0] + 0.3 * rng.normal(size=40) > 0).astype(float)
+        with pytest.warns(UserWarning, match="separation"):
+            fit = fit_cumulative_link(
+                Column.binary("y", y), DesignMatrix(X, ("a", "b")), "loglog"
+            )
+        assert np.max(np.abs(fit.beta)) == pytest.approx(30.0, abs=1e-12)
+        assert np.isfinite(fit.loglik)
+        start = fit_cumulative_link(Column.binary("y", y), None, "loglog")
+        assert fit.loglik > start.loglik
+
+    @pytest.mark.parametrize("seed", [12, 53])
+    def test_loglog_all_distinct_converges(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(300, 2))
+        y = X @ [1.0, -0.5] + rng.logistic(size=300)
+        fit = fit_cumulative_link(
+            Column.continuous("y", y), DesignMatrix(X, ("a", "b")), "loglog"
+        )
+        assert fit.converged
+        assert fit.grad_max_norm < 1e-8
+
     def test_nonconvergence_raises(self):
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, 50)
@@ -235,19 +271,20 @@ class TestLargeSupport:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fifty_thousand_rows_newton_step_gains_nothing(self, seed):
         # the score's rounding noise is about 2e-6 at this size, so optimality
-        # is checked through one more raw Newton step in (alpha, beta) space
+        # is checked through one more raw Newton step in (alpha, beta) space.
+        # In float64 the gain of that step reads rounding noise in pi of about
+        # 1e-9, so both likelihoods are evaluated in extended precision.
         y, X = _all_distinct(50_000, seed)
         fit = fit_cumulative_link(y, X)
         assert fit.converged and fit.iterations <= 15
         codes = np.unique(y.values, return_inverse=True)[1]
-        fam = CUMULATIVE_LINKS["logit"]
         _, g_a, g_b, h_d, h_o, h_ab, h_bb = _clm_score(
-            fit.alpha, fit.beta, codes, X.matrix, fam
+            fit.alpha, fit.beta, codes, X.matrix, CUMULATIVE_LINKS["logit"]
         )
         v_a, v_b = _solve_bordered(h_d, h_o, h_ab, h_bb, g_a, g_b, 0.0)
         assert abs(g_a @ v_a + g_b @ v_b) <= DECREMENT_TOL
-        pi = _clm_pi(fit.alpha, fit.beta, codes, X.matrix, fam)
-        pi_step = _clm_pi(fit.alpha - v_a, fit.beta - v_b, codes, X.matrix, fam)
+        pi = logit_pi_extended(fit.alpha, fit.beta, codes, X.matrix)
+        pi_step = logit_pi_extended(fit.alpha - v_a, fit.beta - v_b, codes, X.matrix)
         assert np.sum(np.log(pi_step / pi)) <= 1e-9
 
 

@@ -320,11 +320,11 @@ class TestResamplingEngine:
             assert r.ci_low <= r.ci_high
             assert r.notes == ()
             assert {i.kind for i in r.resampling} == {"bootstrap", "permutation"}
-        # values captured under the Newton-decrement stopping rule, same seed
+        # values captured with Newton steps taken on (alpha, beta), same seed
         z, r = curve[3]
         assert z == 0.5012730521944495
-        assert r.estimate == 0.5434643716264947
-        assert (r.ci_low, r.ci_high) == (0.315565123203207, 0.7076936012595737)
+        assert r.estimate == 0.5434643716264949
+        assert (r.ci_low, r.ci_high) == (0.3155651232032077, 0.7076936012595837)
         assert r.p_value == 0.025
         assert curve[2][1].p_value == 0.625
 
