@@ -240,9 +240,8 @@ def _cmd_diag(args) -> int:
         "rows_removed": removed,
         "ks_statistic": float(ks.statistic),
         "ks_p_value": float(ks.p_value),
+        "smooths": {},
     }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-
     if args.qq:
         qq = qq_uniform(r)
         if args.csv:
@@ -263,6 +262,11 @@ def _cmd_diag(args) -> int:
             )
         else:
             _write_text(path, render_residual(plot))
+        summary["smooths"][name] = {
+            "n_grid": int(plot.smooth.grid.size),
+            "passes": plot.smooth.passes,
+        }
+    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return 0
 
 

@@ -102,17 +102,38 @@ def ks_uniform(residuals) -> KsResult:
 
 @dataclass(frozen=True)
 class SmoothCurve:
+    """A lowess curve at the sorted distinct x values.
+
+    ``passes`` counts the local-line passes that ran: the first fit plus
+    each robustness pass, at most ``robust_iters + 1``.
+    """
+
     grid: np.ndarray
     fitted: np.ndarray
+    passes: int
+
+
+# Cells of one (rows x n) block of tricube weights: about 0.8 MB of doubles.
+_LOWESS_BLOCK_CELLS = 100_000
 
 
 def lowess(x, y, *, span: float = 2.0 / 3.0, robust_iters: int = 3) -> SmoothCurve:
     """Robust locally weighted linear regression (lowess).
 
     Each point is fit by weighted least squares over its ceil(span * n)
-    nearest neighbors with tricube distance weights, then refit
+    nearest neighbors with tricube distance weights, then refit up to
     ``robust_iters`` times with bisquare weights on the residuals to damp
-    outliers.  Returns fitted values at the sorted distinct x values.
+    outliers.  The refits stop early once the residuals' median absolute
+    value s has 6 s <= 1e-10 max|y|: the local lines then pass through
+    their points up to rounding, and bisquare weights built from that
+    noise would only add noise.  Returns fitted values at the sorted
+    distinct x values.
+
+    The smooth is exact (no interpolation between fitted points).  It
+    costs O(n^2) time and O(n) extra memory: the cut-offs are found once,
+    and each pass builds the weights of a block of rows at a time, over the
+    columns inside those rows' cut-offs, and sums them with small matrix
+    products.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -122,6 +143,8 @@ def lowess(x, y, *, span: float = 2.0 / 3.0, robust_iters: int = 3) -> SmoothCur
         raise InputError("x and y must be finite")
     if not 0.0 < span <= 1.0:
         raise InputError("span must be in (0, 1]")
+    if not isinstance(robust_iters, (int, np.integer)) or robust_iters < 0:
+        raise InputError("robust_iters must be an integer >= 0")
     n = xa.size
     r = int(np.ceil(span * n))
     if r < 2:
@@ -129,43 +152,90 @@ def lowess(x, y, *, span: float = 2.0 / 3.0, robust_iters: int = 3) -> SmoothCur
 
     order = np.argsort(xa, kind="stable")
     xs, ys = xa[order], ya[order]
+    height = max(1, _LOWESS_BLOCK_CELLS // n)
+    row_blocks = [slice(i, min(i + height, n)) for i in range(0, n, height)]
+    # the distance to the r-th nearest x depends only on x: once per call
+    cutoff = np.empty(n)
+    for b in row_blocks:
+        cutoff[b] = np.partition(np.abs(xs - xs[b, None]), r - 1, axis=1)[:, r - 1]
+    # row i weighs only the points within its cut-off, a range of the sorted
+    # x; a block of rows takes the union of its rows' ranges
+    lo = np.searchsorted(xs, xs - cutoff, side="left")
+    hi = np.searchsorted(xs, xs + cutoff, side="right")
+    blocks = [(b, slice(lo[b].min(), hi[b].max())) for b in row_blocks]
+    y_scale = float(np.max(np.abs(ys)))
     robust = np.ones(n)
-    fitted = np.empty(n)
-    for iteration in range(robust_iters + 1):
-        for i in range(n):
-            d = np.abs(xs - xs[i])
-            cutoff = np.partition(d, r - 1)[r - 1]
-            if cutoff <= 0.0:
-                sel = d == 0.0
-                w = robust[sel]
-                fitted[i] = (
-                    float(w @ ys[sel] / w.sum()) if w.sum() > 0 else float(ys[sel].mean())
-                )
-                continue
-            w = np.clip(1.0 - (d / cutoff) ** 3, 0.0, None) ** 3 * robust
-            sw = w.sum()
-            if sw <= 0.0:
-                fitted[i] = float(ys[d <= cutoff].mean())
-                continue
-            xbar = float(w @ xs) / sw
-            dx = xs - xbar
-            vxx = float(w @ np.square(dx))
-            mean_y = float(w @ ys) / sw
-            if vxx <= 1e-12 * max(1.0, float(w @ np.square(xs))):
-                fitted[i] = mean_y
-            else:
-                slope = float(w @ (dx * ys)) / vxx
-                fitted[i] = mean_y + slope * (xs[i] - xbar)
-        if iteration == robust_iters:
+    for passes in range(1, robust_iters + 2):
+        fitted = _lowess_pass(xs, ys, robust, cutoff, blocks)
+        if passes > robust_iters:
             break
         resid = ys - fitted
         s = float(np.median(np.abs(resid)))
-        if s <= 0.0:
+        if 6.0 * s <= 1e-10 * y_scale:
             break
         robust = np.clip(1.0 - np.square(resid / (6.0 * s)), 0.0, None) ** 2
 
     grid, first = np.unique(xs, return_index=True)
-    return SmoothCurve(grid=grid, fitted=fitted[first])
+    return SmoothCurve(grid=grid, fitted=fitted[first], passes=passes)
+
+
+def _lowess_pass(xs, ys, robust, cutoff, blocks) -> np.ndarray:
+    """One lowess pass: each row's weighted local line, evaluated at its own x.
+
+    Row i weighs point j by tricube(|x_j - x_i| / cutoff_i) * robust_j.
+    ``blocks`` pairs each slice of rows with the slice of columns that can
+    carry weight for them.  The sums of the local line are moments about
+    x_i itself, sum w (x_j - x_i)^k and sum w (x_j - x_i)^k y_j for
+    k = 0, 1, 2, from three matrix products per block against
+    [robust, robust * y].
+    """
+    n = xs.size
+    tied = cutoff <= 0.0
+    scale = np.where(tied, 1.0, cutoff)[:, None]
+    rhs = np.column_stack([robust, robust * ys])
+    m0, m1 = np.empty((n, 2)), np.empty((n, 2))
+    s2 = np.empty(n)
+    buf = np.empty(3 * max((b.stop - b.start) * (c.stop - c.start) for b, c in blocks))
+    for b, c in blocks:
+        shape = (b.stop - b.start, c.stop - c.start)
+        size = shape[0] * shape[1]
+        d, w, t = (buf[k * size : (k + 1) * size].reshape(shape) for k in range(3))
+        np.subtract(xs[c], xs[b, None], out=d)
+        np.abs(d, out=w)
+        w /= scale[b]
+        np.minimum(w, 1.0, out=w)
+        np.multiply(w, w, out=t)
+        t *= w
+        np.subtract(1.0, t, out=t)
+        np.multiply(t, t, out=w)
+        w *= t
+        np.matmul(w, rhs[c], out=m0[b])
+        w *= d
+        np.matmul(w, rhs[c], out=m1[b])
+        w *= d
+        np.matmul(w, robust[c], out=s2[b])
+    (s0, sy0), (s1, sy1) = m0.T, m1.T
+
+    fitted = np.empty(n)
+    line = ~tied & (s0 > 0.0)
+    xbar = s1[line] / s0[line]  # mean of x_j - x_i
+    mean_y = sy0[line] / s0[line]
+    vxx = s2[line] - s1[line] * xbar
+    sxy = sy1[line] - s1[line] * mean_y
+    xi = xs[line]
+    sum_wxx = s2[line] + 2.0 * xi * s1[line] + xi * xi * s0[line]  # sum w x_j^2
+    flat = vxx <= 1e-12 * np.maximum(1.0, sum_wxx)
+    vxx[flat] = 1.0  # a flat window's fit is mean_y; keep its slope finite
+    fitted[line] = np.where(flat, mean_y, mean_y - sxy / vxx * xbar)
+    for i in np.flatnonzero(~line):
+        d = np.abs(xs - xs[i])
+        if tied[i]:
+            sel = d == 0.0
+            w = robust[sel]
+            fitted[i] = float(w @ ys[sel] / w.sum()) if w.sum() > 0 else float(ys[sel].mean())
+        else:
+            fitted[i] = float(ys[d <= cutoff[i]].mean())
+    return fitted
 
 
 @dataclass(frozen=True)

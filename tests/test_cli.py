@@ -276,6 +276,8 @@ class TestDiag:
         assert doc["model"] == "linear(y ~ age)"
         assert 0 <= doc["ks_statistic"] <= 1
         assert 0 <= doc["ks_p_value"] <= 1
+        assert list(doc["smooths"]) == ["age"]
+        assert 1 <= doc["smooths"]["age"]["passes"] <= 4
         for f in (qq, rbp):
             text = f.read_text()
             assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
@@ -293,6 +295,8 @@ class TestDiag:
         assert {r[0] for r in qq_rows[1:]} == {"point"}
         rbp_rows = _parse_csv(rbp.read_text())
         assert {r[0] for r in rbp_rows[1:]} == {"point", "smooth"}
+        smooth = json.loads(capsys.readouterr().out)["smooths"]["age"]
+        assert smooth["n_grid"] == sum(r[0] == "smooth" for r in rbp_rows[1:])
 
     def test_rbp_predictor_outside_model_loads(self, table, tmp_path, capsys):
         rbp = tmp_path / "t.svg"

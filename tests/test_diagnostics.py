@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from psrkit import diagnostics
 from psrkit.data_model import Column
 from psrkit.diagnostics import (
     ks_uniform,
@@ -144,6 +145,159 @@ class TestLowess:
     def test_needs_enough_points(self):
         with pytest.raises(InputError):
             lowess(np.array([1.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("iters", [-1, 1.0, "3"])
+    def test_robust_iters_must_be_nonnegative_integer(self, iters):
+        x = np.arange(5.0)
+        with pytest.raises(InputError, match="robust_iters"):
+            lowess(x, np.ones(5), robust_iters=iters)
+        with pytest.raises(InputError, match="robust_iters"):
+            residual_by_predictor(x, np.zeros(5), robust_iters=iters)
+
+    def test_passes_counts_each_fit(self):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0, 1, 50)
+        y = rng.normal(0, 1, 50)
+        assert lowess(x, y, robust_iters=0).passes == 1
+        assert lowess(x, y, robust_iters=3).passes == 4
+
+    def test_zero_outcome_stops_after_first_pass(self):
+        sm = lowess(np.arange(10.0), np.zeros(10))
+        assert sm.passes == 1
+        assert not sm.fitted.any()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_interpolating_lines_skip_robustness_passes(self, seed):
+        # span 0.1 of 27 points: each local line has two weighted points and
+        # passes through its own, so the residuals are rounding noise
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 1, 27)
+        y = rng.normal(size=27)
+        robust = lowess(x, y, span=0.1, robust_iters=3)
+        plain = lowess(x, y, span=0.1, robust_iters=0)
+        assert robust.passes == 1
+        assert np.array_equal(robust.fitted, plain.fitted)
+
+
+def _loop_lowess(x, y, span, robust_iters):
+    """The per-point lowess loop, one partition per point and pass.
+
+    Returns the grid, the fitted values and the names of the branches taken.
+    """
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    n = xs.size
+    r = int(np.ceil(span * n))
+    y_scale = float(np.max(np.abs(ys)))
+    robust = np.ones(n)
+    fitted = np.empty(n)
+    branches = set()
+    for iteration in range(robust_iters + 1):
+        for i in range(n):
+            d = np.abs(xs - xs[i])
+            cutoff = np.partition(d, r - 1)[r - 1]
+            if cutoff <= 0.0:
+                sel = d == 0.0
+                w = robust[sel]
+                branches.add("tied" if w.sum() > 0 else "tied_zero_weight")
+                fitted[i] = (
+                    float(w @ ys[sel] / w.sum()) if w.sum() > 0 else float(ys[sel].mean())
+                )
+                continue
+            w = np.clip(1.0 - (d / cutoff) ** 3, 0.0, None) ** 3 * robust
+            sw = w.sum()
+            if sw <= 0.0:
+                branches.add("zero_weight")
+                fitted[i] = float(ys[d <= cutoff].mean())
+                continue
+            xbar = float(w @ xs) / sw
+            dx = xs - xbar
+            vxx = float(w @ np.square(dx))
+            mean_y = float(w @ ys) / sw
+            if vxx <= 1e-12 * max(1.0, float(w @ np.square(xs))):
+                branches.add("flat")
+                fitted[i] = mean_y
+            else:
+                slope = float(w @ (dx * ys)) / vxx
+                fitted[i] = mean_y + slope * (xs[i] - xbar)
+        if iteration == robust_iters:
+            break
+        resid = ys - fitted
+        s = float(np.median(np.abs(resid)))
+        if 6.0 * s <= 1e-10 * y_scale:
+            break
+        robust = np.clip(1.0 - np.square(resid / (6.0 * s)), 0.0, None) ** 2
+    grid, first = np.unique(xs, return_index=True)
+    return grid, fitted[first], branches
+
+
+class TestLowessMatchesLoop:
+    """The blocked lowess against the per-point loop it replaced."""
+
+    @staticmethod
+    def _agree(x, y, span, robust_iters):
+        grid, fitted, branches = _loop_lowess(x, y, span, robust_iters)
+        sm = lowess(x, y, span=span, robust_iters=robust_iters)
+        assert np.array_equal(sm.grid, grid)
+        assert np.max(np.abs(sm.fitted - fitted)) <= 1e-10
+        return branches
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(13)
+        for case in range(48):
+            n = int(rng.integers(2, 300))
+            x = rng.uniform(0, 10, n)
+            if case % 4 == 1:
+                x = np.round(x)
+            elif case % 4 == 2:
+                x = 1e6 + 1e-3 * x
+            y = np.sin(x) + rng.normal(0, 0.3, n)
+            if case % 4 == 3:
+                y[rng.integers(0, n, n // 10 + 1)] += 8.0
+            span = max((0.1, 0.3, 2.0 / 3.0, 1.0)[case // 4 % 4], 2.0 / n)
+            self._agree(x, np.clip(y, -10.0, 10.0), span, case % 4)
+
+    def test_rows_tied_at_cutoff_zero(self):
+        # eight rows at each x and a window of eight: every cut-off is 0;
+        # the rows at x = 4 alternate 10 and -8, so their robust weights are all 0
+        rng = np.random.default_rng(14)
+        x = np.repeat(np.arange(10.0), 8)
+        y = rng.normal(0, 0.1, 80)
+        y[32:40] = np.where(np.arange(8) % 2 == 0, 10.0, -8.0)
+        assert {"tied", "tied_zero_weight"} <= self._agree(x, y, 0.1, 3)
+
+    def test_window_with_zero_robust_weight(self):
+        # rows 20-39 alternate +-10 around a smooth curve: every point there
+        # is a gross outlier, so the middle rows' windows weigh nothing
+        rng = np.random.default_rng(15)
+        x = np.arange(60.0)
+        y = np.sin(x / 10.0) + rng.normal(0, 0.01, 60)
+        y[20:40] = np.where(np.arange(20) % 2 == 0, 10.0, -10.0)
+        assert "zero_weight" in self._agree(x, y, 5 / 60, 1)
+
+    def test_flat_window(self):
+        # the five rows at 0 weigh only each other: the point at 10 sits at
+        # their cut-off and has tricube weight 0
+        rng = np.random.default_rng(16)
+        x = np.concatenate([np.zeros(5), 10.0 * np.arange(1.0, 16.0)])
+        y = rng.normal(0, 1, 20)
+        assert "flat" in self._agree(x, y, 0.3, 2)
+
+    def test_x_offset_by_1e6(self):
+        rng = np.random.default_rng(17)
+        x = 1e6 + rng.uniform(0, 1, 200)
+        y = np.clip(np.cos(3.0 * (x - 1e6)) + rng.normal(0, 0.2, 200), -10.0, 10.0)
+        for span in (0.1, 0.5, 1.0):
+            self._agree(x, y, span, 3)
+
+    @pytest.mark.parametrize("n", [1000, 1237])
+    def test_several_blocks(self, n):
+        height = diagnostics._LOWESS_BLOCK_CELLS // n
+        assert 1 < height < n
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-2, 2, n)
+        y = np.clip(x**2 + rng.standard_t(2, n) * 0.3, -10.0, 10.0)
+        self._agree(x, y, 2.0 / 3.0, 3)
 
 
 class TestResidualByPredictor:
