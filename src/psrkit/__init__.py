@@ -40,6 +40,7 @@ from .estimators import (
     LikelihoodRatioTest,
     ModelFit,
     fit_cumulative_link,
+    fit_cumulative_link_batch,
     fit_empirical,
     fit_exponential_survival,
     fit_linear_normal,
@@ -102,7 +103,8 @@ __all__ = [
     "NormalDist", "ShiftedEmpirical",
     # estimators
     "LikelihoodRatioTest", "ModelFit", "fit_cumulative_link",
-    "fit_empirical", "fit_exponential_survival", "fit_linear_normal",
+    "fit_cumulative_link_batch", "fit_empirical", "fit_exponential_survival",
+    "fit_linear_normal",
     "fit_poisson", "lr_test", "predict_distribution",
     # residuals
     "PsrVector", "normal_transform", "psr", "psr_all", "psr_censored",

@@ -163,10 +163,18 @@ def lowess(x, y, *, span: float = 2.0 / 3.0, robust_iters: int = 3) -> SmoothCur
     lo = np.searchsorted(xs, xs - cutoff, side="left")
     hi = np.searchsorted(xs, xs + cutoff, side="right")
     blocks = [(b, slice(lo[b].min(), hi[b].max())) for b in row_blocks]
+    # the edges of each row's open window (x_i - c_i, x_i + c_i) and of its
+    # points at x_i itself, as indices into the sorted x
+    sides = np.stack([
+        np.searchsorted(xs, xs - cutoff, side="right"),
+        np.searchsorted(xs, xs, side="left"),
+        np.searchsorted(xs, xs, side="right"),
+        np.searchsorted(xs, xs + cutoff, side="left"),
+    ])
     y_scale = float(np.max(np.abs(ys)))
     robust = np.ones(n)
     for passes in range(1, robust_iters + 2):
-        fitted = _lowess_pass(xs, ys, robust, cutoff, blocks)
+        fitted = _lowess_pass(xs, ys, robust, cutoff, blocks, sides)
         if passes > robust_iters:
             break
         resid = ys - fitted
@@ -179,7 +187,7 @@ def lowess(x, y, *, span: float = 2.0 / 3.0, robust_iters: int = 3) -> SmoothCur
     return SmoothCurve(grid=grid, fitted=fitted[first], passes=passes)
 
 
-def _lowess_pass(xs, ys, robust, cutoff, blocks) -> np.ndarray:
+def _lowess_pass(xs, ys, robust, cutoff, blocks, sides) -> np.ndarray:
     """One lowess pass: each row's weighted local line, evaluated at its own x.
 
     Row i weighs point j by tricube(|x_j - x_i| / cutoff_i) * robust_j.
@@ -187,7 +195,10 @@ def _lowess_pass(xs, ys, robust, cutoff, blocks) -> np.ndarray:
     carry weight for them.  The sums of the local line are moments about
     x_i itself, sum w (x_j - x_i)^k and sum w (x_j - x_i)^k y_j for
     k = 0, 1, 2, from three matrix products per block against
-    [robust, robust * y].
+    [robust, robust * y].  When every weighted point of a row sits on one
+    side of x_i, far compared with their spread, the variance
+    s2 - s1^2 / s0 of those moments cancels; such rows (``sides`` gives each
+    row's window edges) take their sums again about the weighted mean.
     """
     n = xs.size
     tied = cutoff <= 0.0
@@ -227,6 +238,22 @@ def _lowess_pass(xs, ys, robust, cutoff, blocks) -> np.ndarray:
     flat = vxx <= 1e-12 * np.maximum(1.0, sum_wxx)
     vxx[flat] = 1.0  # a flat window's fit is mean_y; keep its slope finite
     fitted[line] = np.where(flat, mean_y, mean_y - sxy / vxx * xbar)
+    weighted = np.concatenate([[0], np.cumsum(robust > 0.0)])
+    left, at, right = np.diff(weighted[sides], axis=0)
+    for i in np.flatnonzero(line & (at == 0) & ((left == 0) | (right == 0))):
+        c = slice(sides[0, i], sides[3, i])
+        d = xs[c] - xs[i]
+        t = 1.0 - np.minimum(np.abs(d) / cutoff[i], 1.0) ** 3
+        w = t * t * t * robust[c]
+        sw = w.sum()
+        dbar = (w @ d) / sw
+        dd = d - dbar
+        vxx = w @ np.square(dd)
+        mean_y = (w @ ys[c]) / sw
+        if vxx <= 1e-12 * max(1.0, w @ np.square(xs[c])):
+            fitted[i] = mean_y
+        else:
+            fitted[i] = mean_y - (w @ (dd * ys[c])) / vxx * dbar
     for i in np.flatnonzero(~line):
         d = np.abs(xs - xs[i])
         if tied[i]:

@@ -16,11 +16,24 @@ in (alpha, beta) (Pratt, JASA 1981), so the Newton direction is an ascent
 direction; step-halving shortens each step until every observed category
 keeps a positive probability and the log-likelihood rises.  A positive
 probability for every category forces the cut points to stay strictly
-increasing, so no reparameterization is needed.  The alpha block of the
-Hessian is tridiagonal because each observation couples only its own two
-adjacent cut points; steps are solved through that structure plus a p x p
-Schur complement, so one iteration costs O(J + n p + p^3) even when every
-outcome value is distinct.
+increasing, so no reparameterization is needed.  A category probability is
+F(hi) - F(lo), or S(lo) - S(hi) from the link's closed-form survival
+function where F(lo) > 0.5, so that it keeps its digits in the upper tail.
+
+The engine fits a stack of m outcomes against one shared design Z in one
+Newton loop: arrays carry a leading member axis, outcome codes are (m, n),
+and a row where a member's outcome is missing has weight 0 and enters none
+of its sums.  Each member keeps its own step length, ridge, stopping rule
+and separation cap, so a member's fit is, up to rounding, the fit of that
+outcome alone; :func:`fit_cumulative_link` is the stack of one and
+:func:`fit_cumulative_link_batch` fits many outcomes at once.  The alpha
+block of each member's Hessian is tridiagonal because each observation
+couples only its own two adjacent cut points.  The linear solve is the only
+step whose method depends on shape: a member with at most ``_DENSE_MAX_K``
+unknowns (J - 1 + p) is solved as a dense system, stacked with the other
+small members in one ``np.linalg.solve``; a larger one is solved through
+the tridiagonal structure plus a p x p Schur complement, so one iteration
+costs O(J + n p + p^3) even when every outcome value is distinct.
 
 Every Newton fit stops on the Newton decrement |g' M^{-1} g| (M the Hessian
 or information matrix), not on the size of the score: once it is at most
@@ -37,14 +50,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
 from scipy.linalg import solve_banded
 
 from .data_model import Column, ColumnKind, DesignMatrix, ORDERABLE_KINDS
-from .exceptions import ConvergenceError, DegenerateFitError, InputError
+from .exceptions import ConvergenceError, DegenerateFitError, InputError, PsrKitError
 from .fitted_dist import (
     DiscreteSupport,
     ExponentialDist,
@@ -59,6 +73,7 @@ __all__ = [
     "ModelFit",
     "fit_empirical",
     "fit_cumulative_link",
+    "fit_cumulative_link_batch",
     "fit_linear_normal",
     "fit_poisson",
     "fit_exponential_survival",
@@ -86,6 +101,8 @@ class LinkFamily:
 
     name: str
     cdf: Callable[[np.ndarray], np.ndarray]
+    #: the survival function 1 - cdf in closed form, exact in the upper tail
+    sf: Callable[[np.ndarray], np.ndarray]
     pdf: Callable[[np.ndarray], np.ndarray]
     dpdf: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
@@ -125,6 +142,7 @@ CUMULATIVE_LINKS: dict[str, LinkFamily] = {
     "logit": LinkFamily(
         "logit",
         cdf=special.expit,
+        sf=lambda eta: special.expit(-eta),
         pdf=_logit_pdf,
         dpdf=_logit_dpdf,
         quantile=special.logit,
@@ -132,6 +150,7 @@ CUMULATIVE_LINKS: dict[str, LinkFamily] = {
     "probit": LinkFamily(
         "probit",
         cdf=special.ndtr,
+        sf=lambda eta: special.ndtr(-eta),
         pdf=_probit_pdf,
         dpdf=lambda eta: -eta * _probit_pdf(eta),
         quantile=special.ndtri,
@@ -139,6 +158,7 @@ CUMULATIVE_LINKS: dict[str, LinkFamily] = {
     "cloglog": LinkFamily(
         "cloglog",
         cdf=_cloglog_cdf,
+        sf=lambda eta: np.exp(-np.exp(eta)),
         pdf=_cloglog_pdf,
         dpdf=lambda eta: _cloglog_pdf(eta) * (1.0 - np.exp(eta)),
         quantile=lambda p: np.log(-np.log1p(-np.asarray(p, dtype=float))),
@@ -146,6 +166,7 @@ CUMULATIVE_LINKS: dict[str, LinkFamily] = {
     "loglog": LinkFamily(
         "loglog",
         cdf=_loglog_cdf,
+        sf=lambda eta: -np.expm1(-np.exp(-eta)),
         pdf=_loglog_pdf,
         dpdf=lambda eta: _loglog_pdf(eta) * (np.exp(-eta) - 1.0),
         quantile=lambda p: -np.log(-np.log(np.asarray(p, dtype=float))),
@@ -217,94 +238,156 @@ class ModelFit:
 # ---------------------------------------------------------------------------
 
 
-def _clm_pi(alpha, beta, codes, Xm, fam) -> np.ndarray | None:
-    """Per-observation category probabilities; None at infeasible points."""
-    if not np.all(np.isfinite(alpha)):
-        return None
-    n = codes.size
-    n_alpha = alpha.size
-    xb = Xm @ beta if beta.size else np.zeros(n)
-    hi = codes < n_alpha
-    lo = codes > 0
-    gam_hi = np.ones(n)
-    gam_lo = np.zeros(n)
-    with np.errstate(over="ignore", under="ignore"):
-        gam_hi[hi] = fam.cdf(alpha[codes[hi]] - xb[hi])
-        gam_lo[lo] = fam.cdf(alpha[codes[lo] - 1] - xb[lo])
-    pi = gam_hi - gam_lo
-    if not np.all(np.isfinite(pi)) or np.any(pi <= 0.0):
-        return None
+class _ClmStack:
+    """The fixed part of a stack of cumulative-link fits that share one design.
+
+    Member i fits outcome codes ``codes[i]`` (0..J_i - 1) on the rows where
+    ``observed[i]`` holds; an unobserved row has weight 0 and enters no sum.
+    Intercepts are held as an (m, width) array, member i using its first
+    J_i - 1 columns.  Row-level sums over cut points are ``np.bincount``
+    sums over the flat bins ``member * width + cut``.
+    """
+
+    def __init__(self, codes, observed, Z, fam, width=None, zz=None):
+        m, n = codes.shape
+        self.codes, self.observed, self.Z, self.fam = codes, observed, Z, fam
+        #: the products Z_ik Z_il of each row, flattened over (k, l)
+        self.zz = (Z[:, :, None] * Z[:, None, :]).reshape(n, -1) if zz is None else zz
+        self.n_alpha = np.max(np.where(observed, codes, 0), axis=1)
+        self.width = int(self.n_alpha.max()) if width is None else width
+        bins = (np.arange(m) * self.width)[:, None] + codes
+        #: flat (member, row) indices of the rows with an upper / lower cut point
+        self.hi = np.flatnonzero(observed & (codes < self.n_alpha[:, None]))
+        self.lo = np.flatnonzero(observed & (codes > 0))
+        self.bin_hi = bins.ravel()[self.hi]
+        self.bin_lo = bins.ravel()[self.lo] - 1
+        # position in ``hi`` of each ``lo`` row; ``hi.size`` for a row of the
+        # top category, which has no upper cut point
+        pos = np.full(m * n, self.hi.size)
+        pos[self.hi] = np.arange(self.hi.size)
+        self.hi_of_lo = pos[self.lo]
+        self.both = np.flatnonzero(self.hi_of_lo < self.hi.size)
+        #: the intercept differences past each member's own cut points
+        self.padded = np.arange(1, self.width) >= self.n_alpha[:, None]
+        self.bin_ab = np.concatenate([self.bin_hi, self.bin_lo])
+        #: the design row of each hi row then each lo row, one design column per row
+        self.z_ab = np.ascontiguousarray(Z[np.concatenate([self.hi, self.lo]) % n].T)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.codes.shape
+
+    def take(self, members: np.ndarray) -> "_ClmStack":
+        """The stack of the given members (increasing member indices)."""
+        if members.size == self.codes.shape[0]:
+            return self
+        return _ClmStack(
+            self.codes[members], self.observed[members], self.Z, self.fam, self.width, self.zz
+        )
+
+
+def _clm_eta(alpha, beta, st):
+    """Linear predictors at the upper and lower cut point of every row."""
+    m, n = st.shape
+    xb = (beta @ st.Z.T).ravel() if st.Z.shape[1] else np.zeros(m * n)
+    a = alpha.ravel()
+    return a[st.bin_hi] - xb[st.hi], a[st.bin_lo] - xb[st.lo]
+
+
+def _clm_probs(eta_hi, eta_lo, st) -> np.ndarray:
+    """Flat per-row category probabilities, 1 on unobserved rows.
+
+    ``F(hi) - F(lo)`` keeps only the digits of a small probability above
+    1e-16 once F(lo) is close to 1, so rows with F(lo) > 0.5 take
+    ``S(lo) - S(hi)`` from the link's closed-form survival function instead.
+    """
+    fam = st.fam
+    pi = np.ones(st.codes.size)
+    pi[st.hi] = fam.cdf(eta_hi)
+    f_lo = fam.cdf(eta_lo)
+    pi[st.lo] -= f_lo
+    upper = np.flatnonzero(f_lo > 0.5)
+    if upper.size:
+        # S(+inf) = 0 stands in for a top-category row's upper cut point
+        s_hi = fam.sf(np.append(eta_hi, np.inf)[st.hi_of_lo[upper]])
+        pi[st.lo[upper]] = fam.sf(eta_lo[upper]) - s_hi
     return pi
 
 
-def _clm_score(alpha, beta, codes, Xm, fam):
-    """Log-likelihood, gradient, and Hessian blocks in (alpha, beta) space.
+# an infeasible member's log(0), 1/0 and inf - inf are discarded with it
+@np.errstate(all="ignore")
+def _clm_score(alpha, beta, st):
+    """Log-likelihood, gradient, Hessian blocks in (alpha, beta) space, and
+    category probabilities, each with a leading member axis.
 
-    Returns ``(ll, g_alpha, g_beta, h_diag, h_off, h_ab, h_bb)`` where the
-    alpha-alpha Hessian block is tridiagonal with diagonal ``h_diag`` and
-    first off-diagonal ``h_off``.
+    Returns ``(ll, g_alpha, g_beta, h_diag, h_off, h_ab, h_bb, pi, feasible)``.
+    Member i's alpha-alpha Hessian block is tridiagonal with diagonal
+    ``h_diag[i]`` and first off-diagonal ``h_off[i]``; entries past its own
+    J_i - 1 cut points are zero.  ``pi`` holds the (m, n) category
+    probabilities, 1 on unobserved rows.  A member is feasible when its
+    intercepts are finite and every row's probability is positive; the other
+    values of an infeasible member mean nothing.
     """
-    n = codes.size
-    n_alpha = alpha.size
-    p = Xm.shape[1]
-    xb = Xm @ beta if p else np.zeros(n)
-    hi = codes < n_alpha
-    lo = codes > 0
-    both = hi & lo
-
-    gam_hi = np.ones(n)
-    gam_lo = np.zeros(n)
-    s_hi = np.zeros(n)
-    s_lo = np.zeros(n)
-    d_hi = np.zeros(n)
-    d_lo = np.zeros(n)
-    with np.errstate(over="ignore", under="ignore"):
-        eta_hi = alpha[codes[hi]] - xb[hi]
-        eta_lo = alpha[codes[lo] - 1] - xb[lo]
-        gam_hi[hi] = fam.cdf(eta_hi)
-        s_hi[hi] = fam.pdf(eta_hi)
-        d_hi[hi] = fam.dpdf(eta_hi)
-        gam_lo[lo] = fam.cdf(eta_lo)
-        s_lo[lo] = fam.pdf(eta_lo)
-        d_lo[lo] = fam.dpdf(eta_lo)
-
-    pi = gam_hi - gam_lo
-    ll = float(np.log(pi).sum())
+    fam = st.fam
+    m, n = st.shape
+    width = st.width
+    p = st.Z.shape[1]
+    eta_hi, eta_lo = _clm_eta(alpha, beta, st)
+    pi = _clm_probs(eta_hi, eta_lo, st)
+    s_hi, d_hi = fam.pdf(eta_hi), fam.dpdf(eta_hi)
+    s_lo, d_lo = fam.pdf(eta_lo), fam.dpdf(eta_lo)
+    pi_rows = pi.reshape(m, n)
+    feasible = np.all(np.isfinite(pi_rows) & (pi_rows > 0.0), axis=1)
+    feasible &= np.all(np.isfinite(alpha), axis=1)
+    ll = np.log(pi_rows).sum(axis=1)
 
     inv_pi = 1.0 / pi
-    g_alpha = np.bincount(codes[hi], weights=(s_hi * inv_pi)[hi], minlength=n_alpha)
-    g_alpha -= np.bincount(codes[lo] - 1, weights=(s_lo * inv_pi)[lo], minlength=n_alpha)
-    u = (s_hi - s_lo) * inv_pi
-    g_beta = -(Xm.T @ u) if p else np.zeros(0)
+    inv_hi, inv_lo = inv_pi[st.hi], inv_pi[st.lo]
+    q_hi, q_lo = s_hi * inv_hi, s_lo * inv_lo
+    bins = m * width
+    g_alpha = np.bincount(st.bin_hi, weights=q_hi, minlength=bins)
+    g_alpha -= np.bincount(st.bin_lo, weights=q_lo, minlength=bins)
+    u = np.zeros(m * n)
+    u[st.hi] = s_hi
+    u[st.lo] -= s_lo
+    u *= inv_pi
+    g_beta = -(u.reshape(m, n) @ st.Z)
 
-    # per-observation second-derivative pieces wrt (eta_hi, eta_lo)
-    a_ii = np.where(hi, d_hi * inv_pi - np.square(s_hi * inv_pi), 0.0)
-    b_ii = np.where(lo, -d_lo * inv_pi - np.square(s_lo * inv_pi), 0.0)
-    c_ij = np.where(both, s_hi * s_lo * inv_pi * inv_pi, 0.0)
+    # per-row second-derivative pieces wrt (eta_hi, eta_lo), and their cross
+    # term on rows with both cut points
+    a_ii = d_hi * inv_hi - np.square(q_hi)
+    b_ii = -d_lo * inv_lo - np.square(q_lo)
+    both, k = st.both, st.hi_of_lo[st.both]
+    c_ij = s_hi[k] * s_lo[both] * inv_lo[both] * inv_lo[both]
 
-    h_diag = np.bincount(codes[hi], weights=a_ii[hi], minlength=n_alpha)
-    h_diag += np.bincount(codes[lo] - 1, weights=b_ii[lo], minlength=n_alpha)
-    if n_alpha > 1:
-        h_off = np.bincount(codes[both] - 1, weights=c_ij[both], minlength=n_alpha - 1)
-        h_off = h_off[: n_alpha - 1]
-    else:
-        h_off = np.zeros(0)
+    h_diag = np.bincount(st.bin_hi, weights=a_ii, minlength=bins)
+    h_diag += np.bincount(st.bin_lo, weights=b_ii, minlength=bins)
+    h_off = np.bincount(st.bin_lo[both], weights=c_ij, minlength=bins)
+    h_off = h_off.reshape(m, width)[:, : width - 1]
 
     if p:
+        c_hi = np.zeros(st.hi.size)
+        c_hi[k] = c_ij
+        c_lo = np.zeros(st.lo.size)
+        c_lo[both] = c_ij
         # the hi rows then the lo rows, each summed in row order
-        at = np.concatenate([codes[hi], codes[lo] - 1])
-        terms = np.concatenate(
-            [-(a_ii + c_ij)[hi, None] * Xm[hi], -(b_ii + c_ij)[lo, None] * Xm[lo]]
-        )
-        h_ab = np.column_stack(
-            [np.bincount(at, weights=terms[:, k], minlength=n_alpha) for k in range(p)]
-        )
-        w = a_ii + b_ii + 2.0 * c_ij
-        h_bb = Xm.T @ (Xm * w[:, None])
+        coef = np.concatenate([-(a_ii + c_hi), -(b_ii + c_lo)])
+        h_ab = np.stack(
+            [np.bincount(st.bin_ab, weights=coef * z, minlength=bins) for z in st.z_ab],
+            axis=-1,
+        ).reshape(m, width, p)
+        w = np.zeros(m * n)
+        w[st.hi] = a_ii
+        w[st.lo] += b_ii
+        w[st.lo[both]] += 2.0 * c_ij
+        h_bb = (w.reshape(m, n) @ st.zz).reshape(m, p, p)
     else:
-        h_ab = np.zeros((n_alpha, 0))
-        h_bb = np.zeros((0, 0))
-    return ll, g_alpha, g_beta, h_diag, h_off, h_ab, h_bb
+        h_ab = np.zeros((m, width, 0))
+        h_bb = np.zeros((m, 0, 0))
+    return (
+        ll, g_alpha.reshape(m, width), g_beta, h_diag.reshape(m, width), h_off, h_ab, h_bb,
+        pi_rows, feasible,
+    )
 
 
 def _solve_bordered(h_diag, h_off, h_ab, h_bb, g_alpha, g_beta, ridge):
@@ -328,6 +411,291 @@ def _solve_bordered(h_diag, h_off, h_ab, h_bb, g_alpha, g_beta, ridge):
     return v_a, v_b
 
 
+#: a member with at most this many unknowns (J - 1 + p) is solved as a dense
+#: system, stacked with the other such members in one ``np.linalg.solve``;
+#: a larger one by the banded bordered solve, O(J p + p^3)
+_DENSE_MAX_K = 32
+
+
+def _dense_steps(score, n_alpha, ridge):
+    """Newton steps of members with few unknowns, as one stacked dense solve."""
+    _, g_a, g_b, h_d, h_o, h_ab, h_bb = score[:7]
+    m, p = g_b.shape
+    w = int(n_alpha.max())
+    d = np.arange(w)
+    e = np.arange(w, w + p)
+    H = np.zeros((m, w + p, w + p))
+    # an intercept column past a member's own cut points solves to 0
+    H[:, d, d] = np.where(d < n_alpha[:, None], h_d[:, :w] - ridge[:, None], -1.0)
+    H[:, d[1:], d[:-1]] = H[:, d[:-1], d[1:]] = h_o[:, : w - 1]
+    H[:, :w, w:] = h_ab[:, :w]
+    H[:, w:, :w] = h_ab[:, :w].transpose(0, 2, 1)
+    H[:, w:, w:] = h_bb
+    H[:, e, e] -= ridge[:, None]
+    rhs = np.concatenate([g_a[:, :w], g_b], axis=1)
+    ok = np.ones(m, dtype=bool)
+    try:
+        sol = np.linalg.solve(H, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular member fails the stacked call: solve one at a time
+        sol = np.zeros_like(rhs)
+        for j in range(m):
+            try:
+                sol[j] = np.linalg.solve(H[j], rhs[j])
+            except np.linalg.LinAlgError:
+                ok[j] = False
+    v_a = np.zeros_like(g_a)
+    v_a[:, :w] = sol[:, :w]
+    return v_a, sol[:, w:], ok & np.all(np.isfinite(sol), axis=1)
+
+
+def _newton_steps(score, n_alpha, ridge):
+    """Each member's Newton step (v_alpha, v_beta) for the system less its
+    ridge, and whether that member's solve gave a finite step."""
+    _, g_a, g_b, h_d, h_o, h_ab, h_bb = score[:7]
+    banded = n_alpha + g_b.shape[1] > _DENSE_MAX_K
+    if not banded.any():
+        return _dense_steps(score, n_alpha, ridge)
+    v_a, v_b = np.zeros_like(g_a), np.zeros_like(g_b)
+    solved = np.zeros(n_alpha.size, dtype=bool)
+    if not banded.all():
+        dense = np.flatnonzero(~banded)
+        v_a[dense], v_b[dense], solved[dense] = _dense_steps(
+            [s[dense] for s in score], n_alpha[dense], ridge[dense]
+        )
+    for i in np.flatnonzero(banded):
+        k = n_alpha[i]
+        try:
+            va, vb = _solve_bordered(
+                h_d[i, :k], h_o[i, : k - 1], h_ab[i, :k], h_bb[i], g_a[i, :k], g_b[i], ridge[i]
+            )
+        except np.linalg.LinAlgError:
+            continue
+        v_a[i, :k], v_b[i] = va, vb
+        solved[i] = np.all(np.isfinite(va)) and np.all(np.isfinite(vb))
+    return v_a, v_b, solved
+
+
+def _ridged_steps(score, n_alpha):
+    """Newton steps with the smallest ridge (0, then 1e-8 times the largest
+    |h_diag| + 1, growing tenfold, 12 tries) that gives each member a finite
+    step; returns ``(v_alpha, v_beta, ridge, solved)``."""
+    ridge = np.zeros(n_alpha.size)
+    v_a, v_b, solved = _newton_steps(score, n_alpha, ridge)
+    if solved.all():
+        return v_a, v_b, ridge, solved
+    scale = np.max(np.abs(score[3]), axis=1) + 1.0
+    for _ in range(11):
+        need = ~solved
+        ridge[need] = np.maximum(ridge[need] * 10.0, 1e-8 * scale[need])
+        tried = np.flatnonzero(need)
+        va, vb, ok = _newton_steps([s[tried] for s in score], n_alpha[tried], ridge[tried])
+        v_a[tried[ok]], v_b[tried[ok]] = va[ok], vb[ok]
+        solved[tried[ok]] = True
+        if solved.all():
+            break
+    return v_a, v_b, ridge, solved
+
+
+def _clm_newton(codes, observed, Z, fam, max_iter) -> SimpleNamespace:
+    """Newton's method on (alpha, beta) for a stack of cumulative-link fits.
+
+    Every member keeps its own step: its ridge, its step-halving, its final
+    full step, its separation cap and its iteration count, exactly as a fit
+    of that member alone.  A member leaves the stack when it converges, caps
+    or fails, and the rest go on.  Every member needs J_i >= 2 levels.
+    Returns per member (a leading member axis) ``alpha``, ``beta``,
+    ``loglik``, ``converged``, ``separated``, ``iterations``,
+    ``grad_max_norm``, ``decrement`` and ``notes``.
+    """
+    st = _ClmStack(codes, observed, Z, fam)
+    m, width, p = codes.shape[0], st.width, Z.shape[1]
+    own = np.arange(width) < st.n_alpha[:, None]
+    counts = np.bincount(
+        ((np.arange(m) * (width + 1))[:, None] + codes)[observed], minlength=m * (width + 1)
+    ).reshape(m, width + 1)
+    cum = np.cumsum(counts, axis=1)[:, :width] / observed.sum(axis=1)[:, None]
+    alpha = np.where(own, fam.quantile(np.where(own, cum, 0.5)), 0.0)
+    beta = np.zeros((m, p))
+    res = SimpleNamespace(
+        alpha=np.zeros((m, width)), beta=np.zeros((m, p)), loglik=np.zeros(m),
+        converged=np.zeros(m, dtype=bool), separated=np.zeros(m, dtype=bool),
+        iterations=np.zeros(m, dtype=int), grad_max_norm=np.zeros(m),
+        decrement=np.full(m, np.nan), notes=[[] for _ in range(m)],
+    )
+
+    # state of the members still in the stack, which are members ``ids``;
+    # ``score`` is the output of _clm_score at (alpha, beta)
+    ids = np.arange(m)
+    score = list(_clm_score(alpha, beta, st))
+    iterations = np.zeros(m, dtype=int)
+    decrement = np.full(m, np.nan)
+    separated = np.zeros(m, dtype=bool)
+
+    def leave(keep, converged=None):
+        """Record the members outside ``keep`` and drop them from the stack."""
+        nonlocal ids, st, alpha, beta, score, iterations, decrement, separated
+        if keep.all():
+            return
+        out = ~keep
+        i = ids[out]
+        res.alpha[i], res.beta[i], res.loglik[i] = alpha[out], beta[out], score[0][out]
+        res.iterations[i], res.decrement[i] = iterations[out], decrement[out]
+        res.separated[i] = separated[out]
+        if converged is not None:
+            res.converged[i] = converged[out]
+        res.grad_max_norm[i] = np.max(
+            np.abs(np.concatenate([score[1][out], score[2][out]], axis=1)), axis=1
+        )
+        k = np.flatnonzero(keep)
+        if not k.size:
+            ids = k
+            return
+        ids, st, alpha, beta = ids[k], st.take(k), alpha[k], beta[k]
+        score = [s[k] for s in score]
+        iterations, decrement, separated = iterations[k], decrement[k], separated[k]
+
+    def note(mask, text):
+        for i in ids[mask]:
+            res.notes[i].append(text)
+
+    while ids.size:
+        v_a, v_b, ridge, solved = _ridged_steps(score, st.n_alpha)
+        decrement = np.where(
+            solved,
+            np.abs(np.einsum("ij,ij->i", score[1], v_a) + np.einsum("ij,ij->i", score[2], v_b)),
+            decrement,
+        )
+        go = solved & (iterations < max_iter)
+        if not go.all():
+            note(~solved, "newton step could not be computed")
+            note(solved & ~go, "did not converge")
+        iterations += go
+
+        # within DECREMENT_TOL of the optimum without a ridge: take the full
+        # step if it keeps the cut points increasing, and stop
+        final = go & (ridge == 0.0) & (decrement <= DECREMENT_TOL)
+        if final.any():
+            alpha_full = alpha - v_a
+            final &= np.all((np.diff(alpha_full, axis=1) > 0.0) | st.padded, axis=1)
+            alpha[final], beta[final] = alpha_full[final], beta[final] - v_b[final]
+
+        # step-halving: accept the first feasible step that improves the
+        # likelihood.  The improvement is measured as sum(log(pi_new / pi_old))
+        # so that late-stage gains far below the floating-point resolution of
+        # the total log-likelihood are still visible.  The members still
+        # searching all have the step length 0.5 ** halvings, and a trial
+        # point is scored in full, so an accepted step needs no second pass.
+        pending = go & ~final
+        for halvings in range(40):
+            tried = np.flatnonzero(pending)
+            if not tried.size:
+                break
+            t = 0.5**halvings
+            alpha_new = alpha[tried] - t * v_a[tried]
+            beta_new = beta[tried] - t * v_b[tried]
+            trial = _clm_score(alpha_new, beta_new, st.take(tried))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = np.sum(np.log(trial[7] / score[7][tried]), axis=1)
+            took = trial[8] & (gain > 0.0)
+            if not took.all():
+                tried, alpha_new, beta_new = tried[took], alpha_new[took], beta_new[took]
+                trial = [x[took] for x in trial]
+                if not tried.size:
+                    continue
+            pending[tried] = False
+            if p and np.max(np.abs(beta_new)) > SEPARATION_CAP:
+                # shorten the accepted step to end where max|beta| reaches the
+                # cap; by concavity that point is no worse than the current one
+                for j in np.flatnonzero(np.max(np.abs(beta_new), axis=1) > SEPARATION_CAP):
+                    i, b0, b1 = tried[j], beta[tried[j]], beta_new[j]
+                    over = np.abs(b1) > SEPARATION_CAP
+                    cap = np.copysign(SEPARATION_CAP, b1[over])
+                    frac = float(np.min((cap - b0[over]) / (b1[over] - b0[over])))
+                    alpha_new[j] = alpha[i] + frac * (alpha_new[j] - alpha[i])
+                    beta_new[j] = np.clip(b0 + frac * (b1 - b0), -SEPARATION_CAP, SEPARATION_CAP)
+                    separated[i] = True
+                    res.notes[ids[i]].append(
+                        f"complete separation suspected: coefficients capped at |{SEPARATION_CAP}|"
+                    )
+            if tried.size == ids.size:
+                alpha, beta, score = alpha_new, beta_new, list(trial)
+            else:
+                alpha[tried], beta[tried] = alpha_new, beta_new
+                for kept, new in zip(score, trial):
+                    kept[tried] = new
+        note(pending, "line search stalled")
+
+        # members that did not move stop; a full or capped step's end point
+        # still needs its score, and then those members stop too
+        moved = final | (go & ~pending)
+        leave(moved)
+        if not ids.size:
+            break
+        final = final[moved]
+        rescore = np.flatnonzero(final | separated)
+        if rescore.size:
+            for kept, new in zip(score, _clm_score(alpha[rescore], beta[rescore], st.take(rescore))):
+                kept[rescore] = new
+        leave(~final & ~separated, converged=final)
+
+    return res
+
+
+def _clm_fits(cols, X: DesignMatrix | None, link: str, max_iter: int) -> list:
+    """One stacked fit of every column on its observed rows: per column its
+    :class:`ModelFit`, or the :class:`PsrKitError` its fit raised."""
+    if link not in CUMULATIVE_LINKS:
+        raise InputError(f"unknown cumulative link {link!r}; choose from {sorted(CUMULATIVE_LINKS)}")
+    fam = CUMULATIVE_LINKS[link]
+    n = cols[0].n if cols else 0
+    Xm, names = (np.zeros((n, 0)), ()) if X is None else (X.matrix, tuple(X.names))
+    out: list = [None] * len(cols)
+    supports, fitted = [], []
+    codes = np.zeros((len(cols), n), dtype=np.intp)
+    observed = ~np.array([col.missing for col in cols], dtype=bool).reshape(len(cols), n)
+    for i, col in enumerate(cols):
+        support, codes[i, observed[i]] = np.unique(col.values[observed[i]], return_inverse=True)
+        if support.size < 2:
+            out[i] = DegenerateFitError(f"outcome {col.name!r} is constant; no cut points to fit")
+        else:
+            supports.append(support)
+            fitted.append(i)
+    if not fitted:
+        return out
+    res = _clm_newton(codes[fitted], observed[fitted], Xm, fam, max_iter)
+    for j, i in enumerate(fitted):
+        name = cols[i].name
+        if not res.converged[j] and not res.separated[j]:
+            out[i] = ConvergenceError(
+                f"cumulative-link fit of {name!r} failed ({res.notes[j][-1]}): score max-norm "
+                f"{res.grad_max_norm[j]:.3e}, Newton decrement {res.decrement[j]:.3e} "
+                f"after {res.iterations[j]} iterations"
+            )
+            continue
+        if res.separated[j]:
+            warnings.warn(
+                f"fit of {name!r}: complete separation suspected; "
+                f"coefficients capped at +-{SEPARATION_CAP}",
+                stacklevel=3,
+            )
+        out[i] = ModelFit(
+            link=link,
+            outcome=name,
+            beta=res.beta[j],
+            alpha=res.alpha[j, : supports[j].size - 1],
+            term_names=names,
+            loglik=float(res.loglik[j]),
+            converged=bool(res.converged[j]),
+            iterations=int(res.iterations[j]),
+            n_obs=int(observed[i].sum()),
+            grad_max_norm=float(res.grad_max_norm[j]),
+            support=supports[j],
+            notes=tuple(res.notes[j]),
+        )
+    return out
+
+
 def fit_cumulative_link(
     y: Column,
     X: DesignMatrix | None = None,
@@ -346,118 +714,40 @@ def fit_cumulative_link(
     where the largest coefficient is exactly 30, and the fit warns and
     returns that capped point so batch scans can continue.
     """
-    if link not in CUMULATIVE_LINKS:
-        raise InputError(f"unknown cumulative link {link!r}; choose from {sorted(CUMULATIVE_LINKS)}")
-    fam = CUMULATIVE_LINKS[link]
-    yv, Xm, names = _check_fit_inputs(y, X, kinds=ORDERABLE_KINDS)
-    n, p = Xm.shape
-
-    support, codes = np.unique(yv, return_inverse=True)
-    n_levels = support.size
-    if n_levels < 2:
-        raise DegenerateFitError(f"outcome {y.name!r} is constant; no cut points to fit")
-    n_alpha = n_levels - 1
-    counts = np.bincount(codes, minlength=n_levels)
-    alpha = fam.quantile(np.cumsum(counts)[:-1] / n)
-    beta = np.zeros(p)
-
-    pi_cur = _clm_pi(alpha, beta, codes, Xm, fam)
-    ll, g_a, g_b, h_d, h_o, h_ab, h_bb = _clm_score(alpha, beta, codes, Xm, fam)
-    notes: list[str] = []
-    iterations = 0
-    converged = separated = False
-    decrement = np.nan
-
-    while not separated:
-        ridge = 0.0
-        scale = float(np.max(np.abs(h_d))) + 1.0
-        for _ in range(12):
-            try:
-                v_a, v_b = _solve_bordered(h_d, h_o, h_ab, h_bb, g_a, g_b, ridge)
-                if np.all(np.isfinite(v_a)) and np.all(np.isfinite(v_b)):
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            ridge = max(ridge * 10.0, 1e-8 * scale)
-        else:
-            notes.append("newton step could not be computed")
-            break
-        decrement = abs(float(g_a @ v_a + g_b @ v_b))
-        if iterations >= max_iter:
-            notes.append("did not converge")
-            break
-        iterations += 1
-
-        if ridge == 0.0 and decrement <= DECREMENT_TOL:
-            alpha_new = alpha - v_a
-            if n_alpha == 1 or np.all(np.diff(alpha_new) > 0.0):
-                alpha, beta = alpha_new, beta - v_b
-                ll, g_a, g_b = _clm_score(alpha, beta, codes, Xm, fam)[:3]
-                converged = True
-                break
-
-        # step-halving: accept the first feasible step that improves the
-        # likelihood.  The improvement is measured as sum(log(pi_new / pi_old))
-        # so that late-stage gains far below the floating-point resolution of
-        # the total log-likelihood are still visible.
-        step = 1.0
-        for _ in range(40):
-            alpha_new, beta_new = alpha - step * v_a, beta - step * v_b
-            pi_new = _clm_pi(alpha_new, beta_new, codes, Xm, fam)
-            if pi_new is not None and float(np.sum(np.log(pi_new / pi_cur))) > 0.0:
-                break
-            step *= 0.5
-        else:
-            notes.append("line search stalled")
-            break
-
-        if p and np.max(np.abs(beta_new)) > SEPARATION_CAP:
-            # shorten the accepted step to end where max|beta| reaches the cap;
-            # by concavity that point is no worse than the current iterate
-            over = np.abs(beta_new) > SEPARATION_CAP
-            cap = np.copysign(SEPARATION_CAP, beta_new[over])
-            t = float(np.min((cap - beta[over]) / (beta_new[over] - beta[over])))
-            alpha_new = alpha + t * (alpha_new - alpha)
-            beta_new = np.clip(beta + t * (beta_new - beta), -SEPARATION_CAP, SEPARATION_CAP)
-            separated = True
-            notes.append(
-                f"complete separation suspected: coefficients capped at |{SEPARATION_CAP}|"
-            )
-            warnings.warn(
-                f"fit of {y.name!r}: complete separation suspected; "
-                f"coefficients capped at +-{SEPARATION_CAP}",
-                stacklevel=2,
-            )
-        alpha, beta, pi_cur = alpha_new, beta_new, pi_new
-        ll, g_a, g_b, h_d, h_o, h_ab, h_bb = _clm_score(alpha, beta, codes, Xm, fam)
-
-    gmax = float(np.max(np.abs(np.concatenate([g_a, g_b]))))
-    if not converged and not separated:
-        raise ConvergenceError(
-            f"cumulative-link fit of {y.name!r} failed ({notes[-1]}): score max-norm "
-            f"{gmax:.3e}, Newton decrement {decrement:.3e} after {iterations} iterations"
-        )
-    return ModelFit(
-        link=link,
-        outcome=y.name,
-        beta=beta,
-        alpha=alpha,
-        term_names=names,
-        loglik=ll,
-        converged=converged,
-        iterations=iterations,
-        n_obs=n,
-        grad_max_norm=gmax,
-        support=support,
-        notes=tuple(notes),
-    )
+    _check_fit_inputs(y, X, kinds=ORDERABLE_KINDS)
+    (fit,) = _clm_fits([y], X, link, max_iter)
+    if isinstance(fit, PsrKitError):
+        raise fit
+    return fit
 
 
-def _check_fit_inputs(y: Column, X: DesignMatrix | None, kinds) -> tuple:
+def fit_cumulative_link_batch(
+    columns: Sequence[Column],
+    X: DesignMatrix | None = None,
+    link: str = "logit",
+    *,
+    max_iter: int = MAX_ITERATIONS,
+) -> list:
+    """:func:`fit_cumulative_link` of each column on the rows where it is
+    observed, as one stacked Newton loop.
+
+    Returns one entry per column: its :class:`ModelFit`, or the
+    :class:`PsrKitError` that fitting it alone would raise (a constant
+    column, a fit that does not converge).  Each member warns on separation
+    as a fit of it alone does.  Malformed input (a column kind that is not
+    orderable, a design of another length) raises :class:`InputError`.
+    """
+    cols = list(columns)
+    for col in cols:
+        _check_fit_inputs(col, X, kinds=ORDERABLE_KINDS, missing_ok=True)
+    return _clm_fits(cols, X, link, max_iter)
+
+
+def _check_fit_inputs(y: Column, X: DesignMatrix | None, kinds, missing_ok=False) -> tuple:
     if y.kind not in kinds:
         raise InputError(f"outcome {y.name!r} has kind {y.kind.value}, expected one of "
                          f"{sorted(k.value for k in kinds)}")
-    if y.missing.any():
+    if not missing_ok and y.missing.any():
         raise InputError(f"outcome {y.name!r} has missing values; run complete_cases first")
     if X is None:
         return y.values, np.zeros((y.n, 0)), ()

@@ -29,6 +29,7 @@ from .estimators import (
     CUMULATIVE_LINKS,
     ModelFit,
     fit_cumulative_link,
+    fit_cumulative_link_batch,
     fit_empirical,
     fit_exponential_survival,
     fit_linear_normal,
@@ -143,8 +144,8 @@ def _rank_row(fit: ModelFit, col: Column, Z: DesignMatrix | None, i: int):
 
 @dataclass(frozen=True)
 class _MarginModel:
-    """How one margin family fits a column, scores every row of it, and
-    describes one row's fitted distribution.
+    """How one margin family fits a column, fits a batch of columns, scores
+    every row of a column, and describes one row's fitted distribution.
 
     Entries call the fitters, ``psr_all`` and ``predict_distribution`` by
     their module-level names at call time, so replacing one of those names
@@ -156,13 +157,31 @@ class _MarginModel:
     row_distribution: Callable[
         [ModelFit, Column, DesignMatrix | None, int], FittedDistribution
     ] = _model_row
+    #: fits a whole batch at once, with :meth:`fit_batch`'s contract; None
+    #: fits each column alone
+    fit_stack: Callable[[Sequence[Column], DesignMatrix | None], list] | None = None
+
+    def fit_batch(self, cols: Sequence[Column], Z: DesignMatrix | None) -> list:
+        """Each column's fit on the rows where it is observed, or the
+        :class:`PsrKitError` that fit raised."""
+        if self.fit_stack is not None:
+            return self.fit_stack(cols, Z)
+        out = []
+        for col in cols:
+            rows = np.flatnonzero(~col.missing)
+            try:
+                out.append(self.fit(col.take(rows), Z.take(rows) if Z is not None else None))
+            except PsrKitError as exc:
+                out.append(exc)
+        return out
 
 
 #: the margin families: ``empirical`` ignores Z entirely; ``linear`` uses
 #: normal-theory residuals from least squares; ``linear-empirical`` ranks
 #: the least-squares residuals against their own empirical distribution;
-#: ``orm-*`` are cumulative-link fits; ``poisson`` and ``exp-surv`` are the
-#: log-link count and censored exponential models.
+#: ``orm-*`` are cumulative-link fits, whose batches are one stacked fit;
+#: ``poisson`` and ``exp-surv`` are the log-link count and censored
+#: exponential models.
 _MARGINS: dict[str, _MarginModel] = {
     "empirical": _MarginModel(
         lambda col, Z: fit_empirical(col),
@@ -175,7 +194,8 @@ _MARGINS: dict[str, _MarginModel] = {
     ),
     **{
         f"orm-{link}": _MarginModel(
-            lambda col, Z, link=link: fit_cumulative_link(col, Z, link)
+            lambda col, Z, link=link: fit_cumulative_link(col, Z, link),
+            fit_stack=lambda cols, Z, link=link: fit_cumulative_link_batch(cols, Z, link),
         )
         for link in CUMULATIVE_LINKS
     },
@@ -574,26 +594,53 @@ class ScanRow:
     rank: int | None = None
 
 
-def _scan_single(col, idx, ypsr, zmat, znames, x_model, n_perm, seed) -> ScanRow:
-    mask = ~col.missing
-    n_used = int(mask.sum())
-    if n_used < 3:
-        return ScanRow(col.name, np.nan, np.nan, n_used, "failed", "fewer than 3 observations")
-    rows = np.flatnonzero(mask)
-    xs = col.take(rows)
-    if float(np.std(xs.values)) == 0.0:
-        return ScanRow(
-            col.name, np.nan, np.nan, n_used, "degenerate",
-            "predictor is constant on its observed rows",
-        )
-    Zsub = DesignMatrix(zmat[rows], znames) if zmat is not None else None
+#: predictors per block of a scan.  Each block's x-margins are fitted as one
+#: batch, and ``workers`` only splits the list of blocks between processes,
+#: so the blocks, and with them every output byte, are the same at every
+#: worker count.
+_SCAN_BLOCK = 64
+
+
+def _scan_block(block, ypsr, Z, x_model, n_perm, seed) -> list[ScanRow]:
+    """The scan rows of one block ``(start, predictors)``; predictor k of the
+    block draws its permutations from the substream (seed, scan, start + k)."""
+    start, cols = block
+    margin = _MARGINS[x_model]
+    rows: list[ScanRow | None] = [None] * len(cols)
+    fitted = []
+    for k, col in enumerate(cols):
+        n_used = int(np.count_nonzero(~col.missing))
+        if n_used < 3:
+            rows[k] = ScanRow(
+                col.name, np.nan, np.nan, n_used, "failed", "fewer than 3 observations"
+            )
+        elif float(np.std(col.values[~col.missing])) == 0.0:
+            rows[k] = ScanRow(
+                col.name, np.nan, np.nan, n_used, "degenerate",
+                "predictor is constant on its observed rows",
+            )
+        else:
+            fitted.append(k)
     with warnings.catch_warnings():
         # the fit's notes carry a separation into ``detail``
         warnings.filterwarnings("ignore", ".*complete separation suspected")
-        try:
-            fit, r = _margin_fit(xs, Zsub, x_model)
-        except PsrKitError as exc:
-            return ScanRow(col.name, np.nan, np.nan, n_used, "failed", str(exc))
+        fits = margin.fit_batch([cols[k] for k in fitted], Z)
+    for k, fit in zip(fitted, fits):
+        rows[k] = _scan_row(cols[k], start + k, fit, margin, ypsr, Z, n_perm, seed)
+    return rows
+
+
+def _scan_row(col, idx, fit, margin, ypsr, Z, n_perm, seed) -> ScanRow:
+    """Residuals, estimate and p-value of one predictor from its x-margin fit."""
+    mask = ~col.missing
+    rows = np.flatnonzero(mask)
+    n_used = rows.size
+    try:
+        if isinstance(fit, PsrKitError):
+            raise fit
+        r = margin.residuals(fit, col.take(rows), Z.take(rows) if Z is not None else None)
+    except PsrKitError as exc:
+        return ScanRow(col.name, np.nan, np.nan, n_used, "failed", str(exc))
     u = r.values
     if float(np.std(u)) < 1e-6:
         return ScanRow(
@@ -622,14 +669,21 @@ def batch_partial_spearman(
     The outcome's residual vector is computed once (by default through the
     least-squares-then-rank device, ``linear-empirical``); each predictor is
     then residualized on Z, correlated, and assigned a permutation p-value
-    from its own seed-derived substream.  Rows with missing predictor cells
-    use the remaining rows.  A failed or degenerate predictor is reported
-    and the scan continues; a failed outcome fit aborts.  Output is ranked
-    by p-value with |estimate| breaking ties; with ``n_perm`` = 0 no draw
-    is made, every p-value is NaN and the ranking is by |estimate|.
+    from its own seed-derived substream.  Predictors are taken in fixed
+    blocks of ``_SCAN_BLOCK``, whose x-margins are fitted as one batch (one
+    stacked Newton loop for ``orm-*``); ``workers`` processes share out the
+    blocks.  Rows with missing predictor cells use the remaining rows.  A
+    failed or degenerate predictor is reported and the scan continues; a
+    failed outcome fit aborts.  Output is ranked by p-value with |estimate|
+    breaking ties; with ``n_perm`` = 0 no draw is made, every p-value is NaN
+    and the ranking is by |estimate|.
     """
     if config.n_perm and config.seed is None:
         raise InputError("a seed is required whenever resampling is requested")
+    if config.x_model not in _MARGINS:
+        raise InputError(
+            f"unknown margin model {config.x_model!r}; choose from {MARGIN_MODELS}"
+        )
     if y.missing.any():
         raise InputError(f"outcome {y.name!r} has missing values; run complete_cases first")
     if Z is not None and Z.p == 0:
@@ -637,23 +691,23 @@ def batch_partial_spearman(
     if Z is not None and Z.n != y.n:
         raise InputError("Z does not align with the outcome")
     ypsr = margin_psr(y, Z, config.y_model).values
-    zmat = Z.matrix if Z is not None else None
-    znames = tuple(Z.names) if Z is not None else ()
 
     for col in predictors:
         if col.n != y.n:
             raise InputError(f"predictor {col.name!r} does not align with the outcome")
     task = partial(
-        _scan_single, ypsr=ypsr, zmat=zmat, znames=znames,
+        _scan_block, ypsr=ypsr, Z=Z,
         x_model=config.x_model, n_perm=config.n_perm, seed=config.seed,
     )
-    m = len(predictors)
-    if config.workers > 1 and m > 1:
-        chunk = max(1, m // (config.workers * 8))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(task, predictors, range(m), chunksize=chunk))
+    blocks = [
+        (start, list(predictors[start : start + _SCAN_BLOCK]))
+        for start in range(0, len(predictors), _SCAN_BLOCK)
+    ]
+    if config.workers > 1 and len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(blocks))) as pool:
+            results = [row for rows in pool.map(task, blocks) for row in rows]
     else:
-        results = list(map(task, predictors, range(m)))
+        results = [row for rows in map(task, blocks) for row in rows]
 
     ok = [r for r in results if r.status == "ok"]
     rest = [r for r in results if r.status != "ok"]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from psrkit.cli import run
-from psrkit.data_model import load_csv
+from psrkit.data_model import load_csv, parse_schema
 from psrkit.fitted_dist import (
     DiscreteSupport,
     ExponentialDist,
@@ -433,6 +433,69 @@ class TestScan:
         assert ps == sorted(ps)
         # 39 kept rows (missing y dropped) minus p0's own missing cell
         assert by_name["p0"][4] == "38"
+
+    @staticmethod
+    def _write_columns(path, columns):
+        """A predictor file from {name: 40 cells}, None marking a missing cell."""
+        names = list(columns)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(names)
+            for i in range(40):
+                w.writerow(
+                    ["NA" if columns[k][i] is None else repr(float(columns[k][i])) for k in names]
+                )
+        return str(path)
+
+    def test_panel_of_several_blocks_is_thread_independent(self, table, tmp_path, capsys):
+        # 150 genotype columns with missing cells: three blocks of predictors
+        rng = np.random.default_rng(78)
+        cols = {}
+        for j in range(150):
+            g = rng.binomial(2, rng.uniform(0.05, 0.5), 40).astype(float)
+            cols[f"g{j:03d}"] = [None if rng.random() < 0.03 else v for v in g]
+        preds = self._write_columns(tmp_path / "g.csv", cols)
+        base = ["scan", "--data", table, "--schema", SCHEMA, "--y", "y",
+                "--z", "age,sex", "--predictors", preds, "--perm", "19", "--seed", "3"]
+        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        assert run(base + ["--threads", "1", "--out", str(out1)]) == 0
+        assert run(base + ["--threads", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        rows = _parse_csv(out1.read_text())[1:]
+        assert len(rows) == 150
+        assert sum(r[5] == "ok" for r in rows) > 100
+
+    def test_block_statuses_and_details(self, table, tmp_path, capsys):
+        # one block mixing ok, degenerate, capped and failed predictors; the
+        # details are those of the per-predictor fits they replace.  split
+        # is 2 exactly where sex is 1, so its sex coefficient runs to the cap
+        d = load_csv(table, parse_schema(SCHEMA))
+        sex = d["sex"].values
+        rng = np.random.default_rng(79)
+        cols = {
+            "ok": rng.binomial(2, 0.3, 40).astype(float).tolist(),
+            "flat": [1.0] * 40,
+            "split": np.where(sex == 1, 2.0, rng.binomial(1, 0.5, 40)).tolist(),
+            "sparse": [0.0, 1.0] + [None] * 38,
+            "sex0": [None if s == 1 else v for s, v in zip(sex, rng.binomial(2, 0.4, 40))],
+        }
+        preds = self._write_columns(tmp_path / "m.csv", cols)
+        out = tmp_path / "s.csv"
+        code = run(["scan", "--data", table, "--schema", SCHEMA, "--y", "y",
+                    "--z", "age,sex", "--predictors", preds, "--perm", "19",
+                    "--seed", "3", "--out", str(out)])
+        assert code == 0
+        by_name = {r[1]: r for r in _parse_csv(out.read_text())[1:]}
+        assert by_name["ok"][5:] == ["ok", ""]
+        assert by_name["flat"][5:] == ["degenerate", "predictor is constant on its observed rows"]
+        assert by_name["split"][5:] == [
+            "ok", "complete separation suspected: coefficients capped at |30.0|"
+        ]
+        assert by_name["sparse"][5:] == ["failed", "fewer than 3 observations"]
+        # sex is 0 on every row where sex0 is observed: its Newton system is
+        # singular, and its fit fails alone as in the block
+        assert by_name["sex0"][5] == "failed"
+        assert by_name["sex0"][6].startswith("cumulative-link fit of 'sex0' failed (")
 
     def test_perm_zero_needs_no_seed_and_reports_na(self, table, tmp_path, capsys):
         preds = self._predictors(tmp_path / "preds.csv")

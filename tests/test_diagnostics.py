@@ -179,18 +179,19 @@ class TestLowess:
         assert np.array_equal(robust.fitted, plain.fitted)
 
 
-def _loop_lowess(x, y, span, robust_iters):
-    """The per-point lowess loop, one partition per point and pass.
+def _loop_lowess(x, y, span, robust_iters, dtype=np.float64):
+    """The per-point lowess loop, one partition per point and pass, with sums
+    about each window's weighted mean, in ``dtype`` arithmetic.
 
     Returns the grid, the fitted values and the names of the branches taken.
     """
     order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
+    xs, ys = x[order].astype(dtype), y[order].astype(dtype)
     n = xs.size
     r = int(np.ceil(span * n))
-    y_scale = float(np.max(np.abs(ys)))
-    robust = np.ones(n)
-    fitted = np.empty(n)
+    y_scale = np.max(np.abs(ys))
+    robust = np.ones(n, dtype)
+    fitted = np.empty(n, dtype)
     branches = set()
     for iteration in range(robust_iters + 1):
         for i in range(n):
@@ -200,35 +201,33 @@ def _loop_lowess(x, y, span, robust_iters):
                 sel = d == 0.0
                 w = robust[sel]
                 branches.add("tied" if w.sum() > 0 else "tied_zero_weight")
-                fitted[i] = (
-                    float(w @ ys[sel] / w.sum()) if w.sum() > 0 else float(ys[sel].mean())
-                )
+                fitted[i] = w @ ys[sel] / w.sum() if w.sum() > 0 else ys[sel].mean()
                 continue
             w = np.clip(1.0 - (d / cutoff) ** 3, 0.0, None) ** 3 * robust
             sw = w.sum()
             if sw <= 0.0:
                 branches.add("zero_weight")
-                fitted[i] = float(ys[d <= cutoff].mean())
+                fitted[i] = ys[d <= cutoff].mean()
                 continue
-            xbar = float(w @ xs) / sw
+            xbar = (w @ xs) / sw
             dx = xs - xbar
-            vxx = float(w @ np.square(dx))
-            mean_y = float(w @ ys) / sw
-            if vxx <= 1e-12 * max(1.0, float(w @ np.square(xs))):
+            vxx = w @ np.square(dx)
+            mean_y = (w @ ys) / sw
+            if vxx <= 1e-12 * max(1.0, w @ np.square(xs)):
                 branches.add("flat")
                 fitted[i] = mean_y
             else:
-                slope = float(w @ (dx * ys)) / vxx
+                slope = (w @ (dx * ys)) / vxx
                 fitted[i] = mean_y + slope * (xs[i] - xbar)
         if iteration == robust_iters:
             break
         resid = ys - fitted
-        s = float(np.median(np.abs(resid)))
+        s = np.median(np.abs(resid))
         if 6.0 * s <= 1e-10 * y_scale:
             break
         robust = np.clip(1.0 - np.square(resid / (6.0 * s)), 0.0, None) ** 2
     grid, first = np.unique(xs, return_index=True)
-    return grid, fitted[first], branches
+    return grid.astype(np.float64), fitted[first], branches
 
 
 class TestLowessMatchesLoop:
@@ -282,6 +281,23 @@ class TestLowessMatchesLoop:
         x = np.concatenate([np.zeros(5), 10.0 * np.arange(1.0, 16.0)])
         y = rng.normal(0, 1, 20)
         assert "flat" in self._agree(x, y, 0.3, 2)
+
+    def test_one_sided_window_matches_extended_reference(self):
+        # alternating +-8 outliers around x = 0 get robust weight 0 after the
+        # first pass, so the second pass fits their rows from a cluster of
+        # eight points at x = 1 with spread 7e-5 alone: every weighted point
+        # sits on one side, far compared with its spread
+        rng = np.random.default_rng(18)
+        out_x = np.array([-1.5, -1.2, -0.9, -0.6, -0.3, 0.0, 0.1, 0.2])
+        out_y = np.where(np.arange(out_x.size) % 2 == 0, 8.0, -8.0)
+        bx = np.linspace(2.0, 10.0, 60)
+        x = np.concatenate([out_x, 1.0 + 1e-5 * np.arange(8), bx])
+        y = np.concatenate([out_y, 1e-4 * rng.normal(size=8), np.sin(bx) + rng.normal(0, 0.1, 60)])
+        span = 16 / x.size
+        grid, fitted, _ = _loop_lowess(x, y, span, 1, np.longdouble)
+        sm = lowess(x, y, span=span, robust_iters=1)
+        assert np.array_equal(sm.grid, grid)
+        assert np.max(np.abs(sm.fitted - fitted)) <= 1e-10 * np.max(np.abs(y))
 
     def test_x_offset_by_1e6(self):
         rng = np.random.default_rng(17)

@@ -6,6 +6,8 @@ against the empirical CDF (intercept-only fits have a closed form), and
 by verifying the fitted parameters are a local maximum of a test-local
 log-likelihood written directly from the link CDF.
 """
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -15,9 +17,11 @@ from psrkit.estimators import (
     CUMULATIVE_LINKS,
     DECREMENT_TOL,
     ModelFit,
+    _ClmStack,
     _clm_score,
     _solve_bordered,
     fit_cumulative_link,
+    fit_cumulative_link_batch,
     fit_empirical,
     fit_exponential_survival,
     fit_linear_normal,
@@ -25,7 +29,7 @@ from psrkit.estimators import (
     lr_test,
     predict_distribution,
 )
-from psrkit.exceptions import ConvergenceError, DegenerateFitError, InputError
+from psrkit.exceptions import ConvergenceError, DegenerateFitError, InputError, PsrKitError
 from psrkit.fitted_dist import DiscreteSupport, ExponentialDist, NormalDist
 
 
@@ -241,6 +245,21 @@ class TestCumulativeLink:
         assert fit.converged
         assert fit.grad_max_norm < 1e-8
 
+    @pytest.mark.parametrize(
+        "n, seed", [(1000, 12), (10_000, 11), (10_000, 23), (10_000, 32), (10_000, 38)]
+    )
+    def test_cloglog_upper_tail_converges(self, n, seed):
+        # rows whose lower cut point has F close to 1: their probabilities are
+        # taken from the survival function, not as a difference of two CDFs
+        # that keeps only the digits above 1e-16, on which the line search stalled
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 2))
+        y = X @ (1, -0.5) + rng.logistic(size=n)
+        fit = fit_cumulative_link(
+            Column.continuous("y", y), DesignMatrix(X, ("a", "b")), "cloglog"
+        )
+        assert fit.converged
+
     def test_constant_outcome_rejected(self):
         with pytest.raises(DegenerateFitError):
             fit_cumulative_link(Column.continuous("y", np.ones(10)), None, "logit")
@@ -250,6 +269,112 @@ class TestCumulativeLink:
             fit_cumulative_link(
                 Column.continuous("y", np.arange(10.0)), None, "cauchit"
             )
+
+
+def _panel(seed, n=150):
+    """Predictors with missing cells: 3- and 2-level genotypes, one with a
+    single-row level, one separated by a covariate, one with many levels
+    (solved banded) and a constant."""
+    rng = np.random.default_rng(seed)
+    Z = np.column_stack([rng.normal(50, 10, n), rng.integers(0, 2, n).astype(float)])
+    cols = []
+
+    def add(name, x, share=0.05):
+        miss = rng.random(n) < share
+        cols.append(Column.continuous(name, np.where(miss, 0.0, x), missing=miss))
+
+    for j in range(4):
+        add(f"g{j}", rng.binomial(2, rng.uniform(0.1, 0.5), n).astype(float))
+    add("two", rng.binomial(1, 0.3, n).astype(float))
+    single = rng.binomial(1, 0.4, n).astype(float)
+    single[rng.integers(n)] = 2.0
+    add("single", single, share=0.0)
+    add("separated", Z[:, 1].copy())
+    add("many", np.round(rng.normal(size=n), 1))
+    add("constant", np.ones(n))
+    return cols, DesignMatrix(Z, ("age", "sex"))
+
+
+def _alone(col, Z, **kw):
+    """The batch of one: the fit of one column on its observed rows, or its error."""
+    rows = np.flatnonzero(~col.missing)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return fit_cumulative_link(col.take(rows), Z.take(rows), **kw)
+    except PsrKitError as exc:
+        return exc
+
+
+def _batch(cols, Z, **kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fit_cumulative_link_batch(cols, Z, **kw)
+
+
+def _assert_same_fit(a, b):
+    assert np.max(np.abs(a.alpha - b.alpha)) <= 1e-12
+    assert np.max(np.abs(a.beta - b.beta)) <= 1e-12
+    assert abs(a.loglik - b.loglik) <= 1e-12
+    assert (a.iterations, a.converged, a.notes) == (b.iterations, b.converged, b.notes)
+    assert np.array_equal(a.support, b.support) and a.n_obs == b.n_obs
+
+
+class TestStackedFit:
+    """Each member of a stacked fit is the fit of that column alone."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("max_iter", [100, 4])
+    def test_members_match_batch_of_one(self, seed, max_iter):
+        cols, Z = _panel(seed)
+        fits = _batch(cols, Z, max_iter=max_iter)
+        for col, fit in zip(cols, fits):
+            ref = _alone(col, Z, max_iter=max_iter)
+            if isinstance(ref, PsrKitError):
+                assert type(fit) is type(ref) and str(fit) == str(ref)
+            else:
+                _assert_same_fit(fit, ref)
+        by_name = dict(zip((c.name for c in cols), fits))
+        assert isinstance(by_name["constant"], DegenerateFitError)
+        if max_iter == 100:
+            assert "capped" in by_name["separated"].notes[0]
+        else:
+            # a member out of iterations fails; the others still converge
+            assert isinstance(by_name["separated"], ConvergenceError)
+            assert by_name["g0"].converged
+
+    def test_fit_does_not_depend_on_block_position(self):
+        cols, Z = _panel(5)
+        for k, col in enumerate(cols[:-1]):
+            (ref,) = _batch([col], Z)
+            others = cols[:k] + cols[k + 1 :]
+            _assert_same_fit(_batch([col] + others, Z)[0], ref)
+            _assert_same_fit(_batch(others + [col], Z)[-1], ref)
+
+    def test_singular_member_does_not_fail_neighbours(self):
+        # observed only where sex == 0, so its sex column is zero and its
+        # Newton system is singular at every step
+        cols, Z = _panel(4)
+        sex = Z.matrix[:, 1]
+        x = np.random.default_rng(9).binomial(2, 0.3, sex.size).astype(float)
+        singular = Column.continuous("singular", np.where(sex == 1, 0.0, x), missing=sex == 1)
+        first, bad, last = _batch([cols[0], singular, cols[1]], Z)
+        assert isinstance(bad, ConvergenceError)
+        _assert_same_fit(first, _alone(cols[0], Z))
+        _assert_same_fit(last, _alone(cols[1], Z))
+        assert first.converged and last.converged
+
+    def test_separation_warns_per_member(self):
+        cols, Z = _panel(1)
+        with pytest.warns(UserWarning, match="'separated': complete separation"):
+            fit_cumulative_link_batch(cols[6:8], Z)
+
+    def test_malformed_input_raises(self):
+        cols, Z = _panel(1)
+        with pytest.raises(InputError):
+            fit_cumulative_link_batch(cols, Z.take(np.arange(10)))
+        with pytest.raises(InputError):
+            fit_cumulative_link_batch(cols, Z, link="cauchit")
 
 
 def _all_distinct(n, seed):
@@ -278,8 +403,11 @@ class TestLargeSupport:
         fit = fit_cumulative_link(y, X)
         assert fit.converged and fit.iterations <= 15
         codes = np.unique(y.values, return_inverse=True)[1]
-        _, g_a, g_b, h_d, h_o, h_ab, h_bb = _clm_score(
-            fit.alpha, fit.beta, codes, X.matrix, CUMULATIVE_LINKS["logit"]
+        stack = _ClmStack(
+            codes[None], np.ones((1, codes.size), bool), X.matrix, CUMULATIVE_LINKS["logit"]
+        )
+        _, g_a, g_b, h_d, h_o, h_ab, h_bb = (
+            s[0] for s in _clm_score(fit.alpha[None], fit.beta[None], stack)[:7]
         )
         v_a, v_b = _solve_bordered(h_d, h_o, h_ab, h_bb, g_a, g_b, 0.0)
         assert abs(g_a @ v_a + g_b @ v_b) <= DECREMENT_TOL
