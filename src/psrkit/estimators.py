@@ -588,9 +588,9 @@ def _clm_newton(codes, observed, Z, fam, max_iter) -> SimpleNamespace:
         # point is scored in full, so an accepted step needs no second pass.
         pending = go & ~final
         for halvings in range(40):
-            tried = np.flatnonzero(pending)
-            if not tried.size:
+            if not pending.any():
                 break
+            tried = np.flatnonzero(pending)
             t = 0.5**halvings
             alpha_new = alpha[tried] - t * v_a[tried]
             beta_new = beta[tried] - t * v_b[tried]
