@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .data_model import Column, ColumnKind, DesignMatrix, ORDERABLE_KINDS
 from .exceptions import ConvergenceError, DegenerateFitError, InputError, PsrKitError
@@ -392,15 +392,13 @@ def _clm_score(alpha, beta, st):
 
 def _solve_bordered(h_diag, h_off, h_ab, h_bb, g_alpha, g_beta, ridge):
     """Solve [[M, h_ab], [h_ab', h_bb]] v = g with M tridiagonal, minus a ridge."""
-    n_alpha = h_diag.size
     p = h_bb.shape[0]
-    ab = np.zeros((3, n_alpha))
-    ab[1] = h_diag - ridge
-    if n_alpha > 1:
-        ab[0, 1:] = h_off
-        ab[2, :-1] = h_off
     rhs = np.column_stack([g_alpha, h_ab]) if p else g_alpha[:, None]
-    sol = solve_banded((1, 1), ab, rhs, check_finite=False)
+    # LAPACK's tridiagonal solver, which scipy's solve_banded calls for one
+    # band on each side, without that wrapper's per-call checks
+    *_, sol, info = dgtsv(h_off, h_diag - ridge, h_off, rhs)
+    if info:
+        raise np.linalg.LinAlgError("singular tridiagonal block")
     y_a = sol[:, 0]
     if not p:
         return y_a, np.zeros(0)
