@@ -64,6 +64,15 @@ def _require_seed(seed: int | None, resampling: bool) -> None:
         raise InputError("a --seed is required whenever resampling is requested")
 
 
+def _check_draws(args) -> None:
+    """Reject draw counts that give no p-value or interval, before any file is read."""
+    if args.perm < 0:
+        raise InputError("--perm must be >= 0")
+    boot = getattr(args, "boot", 0)
+    if boot < 0 or boot == 1:
+        raise InputError("--boot must be 0 or at least 2")
+
+
 # ---------------------------------------------------------------------------
 # small deterministic writers
 # ---------------------------------------------------------------------------
@@ -316,6 +325,7 @@ def _assoc_csv(res, x_name, y_name, x_model, y_model) -> str:
 
 
 def _cmd_pcor(args) -> int:
+    _check_draws(args)
     if args.matrix:
         if not args.cols:
             raise InputError("--matrix needs --cols with at least two column names")
@@ -375,6 +385,7 @@ def _load_predictors(path: str, n_expected: int, kept: np.ndarray) -> list[Colum
 def _cmd_scan(args) -> int:
     if args.threads < 1:
         raise InputError("--threads must be >= 1")
+    _check_draws(args)
     _require_seed(args.seed, args.perm > 0)
     zterms = parse_term_list(args.z)
     needed = [args.y] + [t.name for t in zterms]

@@ -21,19 +21,25 @@ F(hi) - F(lo), or S(lo) - S(hi) from the link's closed-form survival
 function where F(lo) > 0.5, so that it keeps its digits in the upper tail.
 
 The engine fits a stack of m outcomes against one shared design Z in one
-Newton loop: arrays carry a leading member axis, outcome codes are (m, n),
-and a row where a member's outcome is missing has weight 0 and enters none
-of its sums.  Each member keeps its own step length, ridge, stopping rule
-and separation cap, so a member's fit is, up to rounding, the fit of that
-outcome alone; :func:`fit_cumulative_link` is the stack of one and
-:func:`fit_cumulative_link_batch` fits many outcomes at once.  The alpha
-block of each member's Hessian is tridiagonal because each observation
-couples only its own two adjacent cut points.  The linear solve is the only
-step whose method depends on shape: a member with at most ``_DENSE_MAX_K``
-unknowns (J - 1 + p) is solved as a dense system, stacked with the other
-small members in one ``np.linalg.solve``; a larger one is solved through
-the tridiagonal structure plus a p x p Schur complement, so one iteration
-costs O(J + n p + p^3) even when every outcome value is distinct.
+Newton loop: arrays carry a leading member axis, and outcome codes and row
+weights are (m, n).  A row of integer weight w counts as w copies of itself
+in every sum of its member (the log-likelihood, the score, the Hessian, the
+start values and the line search's likelihood test), and a row of weight 0,
+such as a missing cell, enters none.  With weights of 1 every product is
+exact, so a 0/1 weight is the same as leaving the row out.  A bootstrap
+replicate of rows ``idx`` is the member with weights ``bincount(idx)``.
+Each member keeps its own step length, ridge, stopping rule and separation
+cap, so a member's fit is, up to rounding, the fit of its rows alone (each
+repeated by its weight); :func:`fit_cumulative_link` is the stack of one
+and :func:`fit_cumulative_link_batch` fits many outcomes or weightings at
+once.  The alpha block of each member's Hessian is tridiagonal because each
+observation couples only its own two adjacent cut points.  The linear solve
+is the only step whose method depends on shape: a member with at most
+``_DENSE_MAX_K`` unknowns (J - 1 + p) is solved as a dense system, stacked
+with the other small members in one ``np.linalg.solve``; a larger one is
+solved through the tridiagonal structure plus a p x p Schur complement, so
+one iteration costs O(J + n p + p^3) even when every outcome value is
+distinct.
 
 Every Newton fit stops on the Newton decrement |g' M^{-1} g| (M the Hessian
 or information matrix), not on the size of the score: once it is at most
@@ -103,39 +109,40 @@ class LinkFamily:
     cdf: Callable[[np.ndarray], np.ndarray]
     #: the survival function 1 - cdf in closed form, exact in the upper tail
     sf: Callable[[np.ndarray], np.ndarray]
-    pdf: Callable[[np.ndarray], np.ndarray]
-    dpdf: Callable[[np.ndarray], np.ndarray]
+    #: the density and its derivative, ``(h', h'')``, sharing their work
+    pdf_dpdf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     quantile: Callable[[np.ndarray], np.ndarray]
 
 
-def _logit_pdf(eta):
+def _logit_pdf_dpdf(eta):
     p = special.expit(eta)
-    return p * (1.0 - p)
+    pdf = p * (1.0 - p)
+    return pdf, pdf * (1.0 - 2.0 * p)
 
 
-def _logit_dpdf(eta):
-    p = special.expit(eta)
-    return p * (1.0 - p) * (1.0 - 2.0 * p)
-
-
-def _probit_pdf(eta):
-    return np.exp(-0.5 * np.square(eta)) / _SQRT_2PI
+def _probit_pdf_dpdf(eta):
+    pdf = np.exp(-0.5 * np.square(eta)) / _SQRT_2PI
+    return pdf, -eta * pdf
 
 
 def _cloglog_cdf(eta):
     return -np.expm1(-np.exp(eta))
 
 
-def _cloglog_pdf(eta):
-    return np.exp(eta - np.exp(eta))
+def _cloglog_pdf_dpdf(eta):
+    e = np.exp(eta)
+    pdf = np.exp(eta - e)
+    return pdf, pdf * (1.0 - e)
 
 
 def _loglog_cdf(eta):
     return np.exp(-np.exp(-eta))
 
 
-def _loglog_pdf(eta):
-    return np.exp(-eta - np.exp(-eta))
+def _loglog_pdf_dpdf(eta):
+    e = np.exp(-eta)
+    pdf = np.exp(-eta - e)
+    return pdf, pdf * (e - 1.0)
 
 
 CUMULATIVE_LINKS: dict[str, LinkFamily] = {
@@ -143,32 +150,28 @@ CUMULATIVE_LINKS: dict[str, LinkFamily] = {
         "logit",
         cdf=special.expit,
         sf=lambda eta: special.expit(-eta),
-        pdf=_logit_pdf,
-        dpdf=_logit_dpdf,
+        pdf_dpdf=_logit_pdf_dpdf,
         quantile=special.logit,
     ),
     "probit": LinkFamily(
         "probit",
         cdf=special.ndtr,
         sf=lambda eta: special.ndtr(-eta),
-        pdf=_probit_pdf,
-        dpdf=lambda eta: -eta * _probit_pdf(eta),
+        pdf_dpdf=_probit_pdf_dpdf,
         quantile=special.ndtri,
     ),
     "cloglog": LinkFamily(
         "cloglog",
         cdf=_cloglog_cdf,
         sf=lambda eta: np.exp(-np.exp(eta)),
-        pdf=_cloglog_pdf,
-        dpdf=lambda eta: _cloglog_pdf(eta) * (1.0 - np.exp(eta)),
+        pdf_dpdf=_cloglog_pdf_dpdf,
         quantile=lambda p: np.log(-np.log1p(-np.asarray(p, dtype=float))),
     ),
     "loglog": LinkFamily(
         "loglog",
         cdf=_loglog_cdf,
         sf=lambda eta: -np.expm1(-np.exp(-eta)),
-        pdf=_loglog_pdf,
-        dpdf=lambda eta: _loglog_pdf(eta) * (np.exp(-eta) - 1.0),
+        pdf_dpdf=_loglog_pdf_dpdf,
         quantile=lambda p: -np.log(-np.log(np.asarray(p, dtype=float))),
     ),
 }
@@ -241,16 +244,18 @@ class ModelFit:
 class _ClmStack:
     """The fixed part of a stack of cumulative-link fits that share one design.
 
-    Member i fits outcome codes ``codes[i]`` (0..J_i - 1) on the rows where
-    ``observed[i]`` holds; an unobserved row has weight 0 and enters no sum.
-    Intercepts are held as an (m, width) array, member i using its first
-    J_i - 1 columns.  Row-level sums over cut points are ``np.bincount``
-    sums over the flat bins ``member * width + cut``.
+    Member i fits outcome codes ``codes[i]`` (0..J_i - 1) with row weights
+    ``weights[i]``; a row of weight 0 enters no sum.  Intercepts are held as
+    an (m, width) array, member i using its first J_i - 1 columns.
+    Row-level sums over cut points are ``np.bincount`` sums over the flat
+    bins ``member * width + cut``.
     """
 
-    def __init__(self, codes, observed, Z, fam, width=None, zz=None):
+    def __init__(self, codes, weights, Z, fam, width=None, zz=None):
         m, n = codes.shape
-        self.codes, self.observed, self.Z, self.fam = codes, observed, Z, fam
+        weights = np.asarray(weights, dtype=float)
+        observed = weights > 0.0
+        self.codes, self.weights, self.Z, self.fam = codes, weights, Z, fam
         #: the products Z_ik Z_il of each row, flattened over (k, l)
         self.zz = (Z[:, :, None] * Z[:, None, :]).reshape(n, -1) if zz is None else zz
         self.n_alpha = np.max(np.where(observed, codes, 0), axis=1)
@@ -282,7 +287,7 @@ class _ClmStack:
         if members.size == self.codes.shape[0]:
             return self
         return _ClmStack(
-            self.codes[members], self.observed[members], self.Z, self.fam, self.width, self.zz
+            self.codes[members], self.weights[members], self.Z, self.fam, self.width, self.zz
         )
 
 
@@ -295,7 +300,7 @@ def _clm_eta(alpha, beta, st):
 
 
 def _clm_probs(eta_hi, eta_lo, st) -> np.ndarray:
-    """Flat per-row category probabilities, 1 on unobserved rows.
+    """Flat per-row category probabilities, 1 on rows of weight 0.
 
     ``F(hi) - F(lo)`` keeps only the digits of a small probability above
     1e-16 once F(lo) is close to 1, so rows with F(lo) > 0.5 take
@@ -321,12 +326,13 @@ def _clm_score(alpha, beta, st):
     category probabilities, each with a leading member axis.
 
     Returns ``(ll, g_alpha, g_beta, h_diag, h_off, h_ab, h_bb, pi, feasible)``.
-    Member i's alpha-alpha Hessian block is tridiagonal with diagonal
-    ``h_diag[i]`` and first off-diagonal ``h_off[i]``; entries past its own
-    J_i - 1 cut points are zero.  ``pi`` holds the (m, n) category
-    probabilities, 1 on unobserved rows.  A member is feasible when its
-    intercepts are finite and every row's probability is positive; the other
-    values of an infeasible member mean nothing.
+    Every sum weights each row's term by its row weight.  Member i's
+    alpha-alpha Hessian block is tridiagonal with diagonal ``h_diag[i]`` and
+    first off-diagonal ``h_off[i]``; entries past its own J_i - 1 cut points
+    are zero.  ``pi`` holds the (m, n) category probabilities, 1 on rows of
+    weight 0.  A member is feasible when its intercepts are finite and every
+    row's probability is positive; the other values of an infeasible member
+    mean nothing.
     """
     fam = st.fam
     m, n = st.shape
@@ -334,31 +340,36 @@ def _clm_score(alpha, beta, st):
     p = st.Z.shape[1]
     eta_hi, eta_lo = _clm_eta(alpha, beta, st)
     pi = _clm_probs(eta_hi, eta_lo, st)
-    s_hi, d_hi = fam.pdf(eta_hi), fam.dpdf(eta_hi)
-    s_lo, d_lo = fam.pdf(eta_lo), fam.dpdf(eta_lo)
+    s_hi, d_hi = fam.pdf_dpdf(eta_hi)
+    s_lo, d_lo = fam.pdf_dpdf(eta_lo)
     pi_rows = pi.reshape(m, n)
     feasible = np.all(np.isfinite(pi_rows) & (pi_rows > 0.0), axis=1)
     feasible &= np.all(np.isfinite(alpha), axis=1)
-    ll = np.log(pi_rows).sum(axis=1)
+    ll = (np.log(pi_rows) * st.weights).sum(axis=1)
 
     inv_pi = 1.0 / pi
+    # each row's weight enters its terms through w / pi, which is 1 / pi
+    # exactly when w = 1
+    w_inv = inv_pi * st.weights.ravel()
     inv_hi, inv_lo = inv_pi[st.hi], inv_pi[st.lo]
+    w_inv_hi, w_inv_lo = w_inv[st.hi], w_inv[st.lo]
     q_hi, q_lo = s_hi * inv_hi, s_lo * inv_lo
+    wq_hi, wq_lo = s_hi * w_inv_hi, s_lo * w_inv_lo
     bins = m * width
-    g_alpha = np.bincount(st.bin_hi, weights=q_hi, minlength=bins)
-    g_alpha -= np.bincount(st.bin_lo, weights=q_lo, minlength=bins)
+    g_alpha = np.bincount(st.bin_hi, weights=wq_hi, minlength=bins)
+    g_alpha -= np.bincount(st.bin_lo, weights=wq_lo, minlength=bins)
     u = np.zeros(m * n)
     u[st.hi] = s_hi
     u[st.lo] -= s_lo
-    u *= inv_pi
+    u *= w_inv
     g_beta = -(u.reshape(m, n) @ st.Z)
 
     # per-row second-derivative pieces wrt (eta_hi, eta_lo), and their cross
-    # term on rows with both cut points
-    a_ii = d_hi * inv_hi - np.square(q_hi)
-    b_ii = -d_lo * inv_lo - np.square(q_lo)
+    # term on rows with both cut points, each times its row weight
+    a_ii = d_hi * w_inv_hi - q_hi * wq_hi
+    b_ii = -d_lo * w_inv_lo - q_lo * wq_lo
     both, k = st.both, st.hi_of_lo[st.both]
-    c_ij = s_hi[k] * s_lo[both] * inv_lo[both] * inv_lo[both]
+    c_ij = s_hi[k] * s_lo[both] * inv_lo[both] * w_inv_lo[both]
 
     h_diag = np.bincount(st.bin_hi, weights=a_ii, minlength=bins)
     h_diag += np.bincount(st.bin_lo, weights=b_ii, minlength=bins)
@@ -495,24 +506,29 @@ def _ridged_steps(score, n_alpha):
     return v_a, v_b, ridge, solved
 
 
-def _clm_newton(codes, observed, Z, fam, max_iter) -> SimpleNamespace:
-    """Newton's method on (alpha, beta) for a stack of cumulative-link fits.
+def _clm_newton(codes, weights, Z, fam, max_iter) -> SimpleNamespace:
+    """Newton's method on (alpha, beta) for a stack of row-weighted
+    cumulative-link fits.
 
     Every member keeps its own step: its ridge, its step-halving, its final
     full step, its separation cap and its iteration count, exactly as a fit
     of that member alone.  A member leaves the stack when it converges, caps
-    or fails, and the rest go on.  Every member needs J_i >= 2 levels.
+    or fails, and the rest go on.  Every member needs J_i >= 2 levels among
+    its rows of positive weight.
     Returns per member (a leading member axis) ``alpha``, ``beta``,
     ``loglik``, ``converged``, ``separated``, ``iterations``,
     ``grad_max_norm``, ``decrement`` and ``notes``.
     """
-    st = _ClmStack(codes, observed, Z, fam)
+    st = _ClmStack(codes, weights, Z, fam)
     m, width, p = codes.shape[0], st.width, Z.shape[1]
     own = np.arange(width) < st.n_alpha[:, None]
+    # the weighted empirical CDF of each member's codes
     counts = np.bincount(
-        ((np.arange(m) * (width + 1))[:, None] + codes)[observed], minlength=m * (width + 1)
+        ((np.arange(m) * (width + 1))[:, None] + codes).ravel(),
+        weights=st.weights.ravel(),
+        minlength=m * (width + 1),
     ).reshape(m, width + 1)
-    cum = np.cumsum(counts, axis=1)[:, :width] / observed.sum(axis=1)[:, None]
+    cum = np.cumsum(counts, axis=1)[:, :width] / st.weights.sum(axis=1)[:, None]
     alpha = np.where(own, fam.quantile(np.where(own, cum, 0.5)), 0.0)
     beta = np.zeros((m, p))
     res = SimpleNamespace(
@@ -594,7 +610,7 @@ def _clm_newton(codes, observed, Z, fam, max_iter) -> SimpleNamespace:
             beta_new = beta[tried] - t * v_b[tried]
             trial = _clm_score(alpha_new, beta_new, st.take(tried))
             with np.errstate(divide="ignore", invalid="ignore"):
-                gain = np.sum(np.log(trial[7] / score[7][tried]), axis=1)
+                gain = np.sum(np.log(trial[7] / score[7][tried]) * st.weights[tried], axis=1)
             took = trial[8] & (gain > 0.0)
             if not took.all():
                 tried, alpha_new, beta_new = tried[took], alpha_new[took], beta_new[took]
@@ -640,8 +656,9 @@ def _clm_newton(codes, observed, Z, fam, max_iter) -> SimpleNamespace:
     return res
 
 
-def _clm_fits(cols, X: DesignMatrix | None, link: str, max_iter: int) -> list:
-    """One stacked fit of every column on its observed rows: per column its
+def _clm_fits(cols, X: DesignMatrix | None, link: str, max_iter: int, weights=None) -> list:
+    """One stacked fit of every column on its observed rows, each row counted
+    ``weights`` times (once when ``weights`` is None): per column its
     :class:`ModelFit`, or the :class:`PsrKitError` its fit raised."""
     if link not in CUMULATIVE_LINKS:
         raise InputError(f"unknown cumulative link {link!r}; choose from {sorted(CUMULATIVE_LINKS)}")
@@ -651,7 +668,9 @@ def _clm_fits(cols, X: DesignMatrix | None, link: str, max_iter: int) -> list:
     out: list = [None] * len(cols)
     supports, fitted = [], []
     codes = np.zeros((len(cols), n), dtype=np.intp)
-    observed = ~np.array([col.missing for col in cols], dtype=bool).reshape(len(cols), n)
+    missing = np.array([col.missing for col in cols], dtype=bool).reshape(len(cols), n)
+    weights = np.where(missing, 0.0, 1.0 if weights is None else weights)
+    observed = weights > 0.0
     for i, col in enumerate(cols):
         support, codes[i, observed[i]] = np.unique(col.values[observed[i]], return_inverse=True)
         if support.size < 2:
@@ -661,7 +680,7 @@ def _clm_fits(cols, X: DesignMatrix | None, link: str, max_iter: int) -> list:
             fitted.append(i)
     if not fitted:
         return out
-    res = _clm_newton(codes[fitted], observed[fitted], Xm, fam, max_iter)
+    res = _clm_newton(codes[fitted], weights[fitted], Xm, fam, max_iter)
     for j, i in enumerate(fitted):
         name = cols[i].name
         if not res.converged[j] and not res.separated[j]:
@@ -686,7 +705,7 @@ def _clm_fits(cols, X: DesignMatrix | None, link: str, max_iter: int) -> list:
             loglik=float(res.loglik[j]),
             converged=bool(res.converged[j]),
             iterations=int(res.iterations[j]),
-            n_obs=int(observed[i].sum()),
+            n_obs=int(weights[i].sum()),
             grad_max_norm=float(res.grad_max_norm[j]),
             support=supports[j],
             notes=tuple(res.notes[j]),
@@ -725,20 +744,32 @@ def fit_cumulative_link_batch(
     link: str = "logit",
     *,
     max_iter: int = MAX_ITERATIONS,
+    weights: np.ndarray | None = None,
 ) -> list:
     """:func:`fit_cumulative_link` of each column on the rows where it is
     observed, as one stacked Newton loop.
 
-    Returns one entry per column: its :class:`ModelFit`, or the
-    :class:`PsrKitError` that fitting it alone would raise (a constant
-    column, a fit that does not converge).  Each member warns on separation
-    as a fit of it alone does.  Malformed input (a column kind that is not
-    orderable, a design of another length) raises :class:`InputError`.
+    ``weights``, one row of nonnegative integer frequency weights per
+    column, makes column i's fit that of its observed rows each repeated
+    ``weights[i]`` times (a bootstrap replicate of rows ``idx`` has weights
+    ``bincount(idx)``); ``n_obs`` is then the sum of the weights.  Returns
+    one entry per column: its :class:`ModelFit`, or the :class:`PsrKitError`
+    that fitting it alone would raise (a constant column, a fit that does
+    not converge).  Each member warns on separation as a fit of it alone
+    does.  Malformed input (a column kind that is not orderable, a design of
+    another length, weights of another shape or not nonnegative integers)
+    raises :class:`InputError`.
     """
     cols = list(columns)
     for col in cols:
         _check_fit_inputs(col, X, kinds=ORDERABLE_KINDS, missing_ok=True)
-    return _clm_fits(cols, X, link, max_iter)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (len(cols), cols[0].n if cols else 0):
+            raise InputError("weights need one row per column and one entry per row")
+        if not np.all((weights >= 0.0) & (weights == np.floor(weights)) & np.isfinite(weights)):
+            raise InputError("weights must be nonnegative integers")
+    return _clm_fits(cols, X, link, max_iter, weights)
 
 
 def _check_fit_inputs(y: Column, X: DesignMatrix | None, kinds, missing_ok=False) -> tuple:

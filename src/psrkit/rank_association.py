@@ -144,8 +144,9 @@ def _rank_row(fit: ModelFit, col: Column, Z: DesignMatrix | None, i: int):
 
 @dataclass(frozen=True)
 class _MarginModel:
-    """How one margin family fits a column, fits a batch of columns, scores
-    every row of a column, and describes one row's fitted distribution.
+    """How one margin family fits a column, fits a batch of columns, refits
+    a column on bootstrap resamples, scores every row of a column, and
+    describes one row's fitted distribution.
 
     Entries call the fitters, ``psr_all`` and ``predict_distribution`` by
     their module-level names at call time, so replacing one of those names
@@ -157,31 +158,46 @@ class _MarginModel:
     row_distribution: Callable[
         [ModelFit, Column, DesignMatrix | None, int], FittedDistribution
     ] = _model_row
-    #: fits a whole batch at once, with :meth:`fit_batch`'s contract; None
+    #: fits a batch of columns at once, with :meth:`fit_batch`'s contract,
+    #: and with a ``weights`` keyword counts each row that many times; None
     #: fits each column alone
-    fit_stack: Callable[[Sequence[Column], DesignMatrix | None], list] | None = None
+    fit_stack: Callable[..., list] | None = None
 
-    def fit_batch(self, cols: Sequence[Column], Z: DesignMatrix | None) -> list:
-        """Each column's fit on the rows where it is observed, or the
+    def _fit_each(self, Z: DesignMatrix | None, subsets) -> list:
+        """The fit of ``col.take(rows)`` for each ``(col, rows)``, or the
         :class:`PsrKitError` that fit raised."""
-        if self.fit_stack is not None:
-            return self.fit_stack(cols, Z)
         out = []
-        for col in cols:
-            rows = np.flatnonzero(~col.missing)
+        for col, rows in subsets:
             try:
                 out.append(self.fit(col.take(rows), Z.take(rows) if Z is not None else None))
             except PsrKitError as exc:
                 out.append(exc)
         return out
 
+    def fit_batch(self, cols: Sequence[Column], Z: DesignMatrix | None) -> list:
+        """Each column's fit on the rows where it is observed, or the
+        :class:`PsrKitError` that fit raised."""
+        if self.fit_stack is not None:
+            return self.fit_stack(cols, Z)
+        return self._fit_each(Z, [(col, np.flatnonzero(~col.missing)) for col in cols])
+
+    def fit_replicates(self, col: Column, Z: DesignMatrix | None, idxs) -> list:
+        """The fit of each bootstrap resample ``col.take(idx)`` for ``idx`` in
+        ``idxs``, or the :class:`PsrKitError` that fit raised.  A stacked fit
+        takes the resample as the original rows with frequency weights
+        ``bincount(idx)``, which is the same fit up to rounding."""
+        if self.fit_stack is not None:
+            weights = np.array([np.bincount(idx, minlength=col.n) for idx in idxs])
+            return self.fit_stack([col] * len(idxs), Z, weights=weights)
+        return self._fit_each(Z, [(col, idx) for idx in idxs])
+
 
 #: the margin families: ``empirical`` ignores Z entirely; ``linear`` uses
 #: normal-theory residuals from least squares; ``linear-empirical`` ranks
 #: the least-squares residuals against their own empirical distribution;
-#: ``orm-*`` are cumulative-link fits, whose batches are one stacked fit;
-#: ``poisson`` and ``exp-surv`` are the log-link count and censored
-#: exponential models.
+#: ``orm-*`` are cumulative-link fits, whose batches and bootstrap refits
+#: are one stacked fit; ``poisson`` and ``exp-surv`` are the log-link count
+#: and censored exponential models.
 _MARGINS: dict[str, _MarginModel] = {
     "empirical": _MarginModel(
         lambda col, Z: fit_empirical(col),
@@ -195,7 +211,9 @@ _MARGINS: dict[str, _MarginModel] = {
     **{
         f"orm-{link}": _MarginModel(
             lambda col, Z, link=link: fit_cumulative_link(col, Z, link),
-            fit_stack=lambda cols, Z, link=link: fit_cumulative_link_batch(cols, Z, link),
+            fit_stack=lambda cols, Z, link=link, **kw: fit_cumulative_link_batch(
+                cols, Z, link, **kw
+            ),
         )
         for link in CUMULATIVE_LINKS
     },
@@ -295,36 +313,72 @@ def _perm_pvalue(u, v, observed, n_perm, rng, stat):
     return (1 + hits) / (n_perm + 1)
 
 
+#: replicate x row cells in one block of bootstrap replicates, whose margins
+#: are refitted together (16 replicates at n = 2000)
+_BOOT_BLOCK_CELLS = 1 << 15
+
+_CAPPED = "coefficients capped"
+
+
 def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat):
     """Percentile interval per output from a pairs bootstrap that refits both
     margins, the number of replicates that failed and the number whose
-    refits capped coefficients for separation."""
+    refits capped coefficients for separation.
+
+    Replicate b draws its rows from ``rng`` in turn.  The replicates of a
+    block are refitted together, one margin at a time, and then taken in
+    order: a replicate whose refit or residuals raise a
+    :class:`NumericError` is dropped, any other error propagates, and a
+    replicate counts as capped when a refit made before that point capped.
+    """
     n = x.n
+    if Z is not None and Z.p == 0:
+        Z = None
+    x_margin, y_margin = _MARGINS[x_model], _MARGINS[y_model]
+    block = max(1, _BOOT_BLOCK_CELLS // n)
     draws = []
     capped = 0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for _ in range(n_boot):
-            idx = rng.integers(0, n, size=n)
-            caught.clear()
+    for start in range(0, n_boot, block):
+        idxs = [rng.integers(0, n, size=n) for _ in range(min(block, n_boot - start))]
+        with warnings.catch_warnings():
+            # a refit's notes carry its separation into the capped count
+            warnings.filterwarnings("ignore", ".*complete separation suspected")
+            x_fits = x_margin.fit_replicates(x, Z, idxs)
+            y_fits = y_margin.fit_replicates(y, Z, idxs)
+        for idx, x_fit, y_fit in zip(idxs, x_fits, y_fits):
+            zb = Z.take(idx) if Z is not None else None
+            was_capped = False
             try:
-                zb = Z.take(idx) if Z is not None else None
-                u = margin_psr(x.take(idx), zb, x_model).values
-                v = margin_psr(y.take(idx), zb, y_model).values
-                draws.append(stat(u, v, idx))
+                psr = []
+                for margin, col, fit in ((x_margin, x, x_fit), (y_margin, y, y_fit)):
+                    if isinstance(fit, PsrKitError):
+                        raise fit
+                    was_capped |= any(_CAPPED in note for note in fit.notes)
+                    psr.append(margin.residuals(fit, col.take(idx), zb).values)
+                draws.append(stat(*psr, idx))
             except NumericError:
                 pass
-            capped += any("coefficients capped" in str(w.message) for w in caught)
+            capped += was_capped
     if len(draws) < max(2, n_boot // 2):
         raise NumericError(f"bootstrap failed: only {len(draws)} of {n_boot} replicates usable")
     lo, hi = np.nanpercentile(np.array(draws), [2.5, 97.5], axis=0).reshape(2, -1)
     return lo.tolist(), hi.tolist(), n_boot - len(draws), capped
 
 
+def _check_draws(n_boot: int = 0, n_perm: int = 0) -> None:
+    """Reject draw counts that give no p-value or interval: a negative count,
+    or one bootstrap replicate, which can never leave 2 usable."""
+    if n_perm < 0:
+        raise InputError(f"n_perm must be >= 0, got {n_perm}")
+    if n_boot < 0 or n_boot == 1:
+        raise InputError(f"n_boot must be 0 or at least 2, got {n_boot}")
+
+
 def _resampled_results(
     x, y, Z, x_model, y_model, *, stat, method, n_boot, n_perm, seed, tags=()
 ) -> list[AssocResult]:
     """One result per output of ``stat``; ``tags`` prefix the substream tags."""
+    _check_draws(n_boot, n_perm)
     u = margin_psr(x, Z, x_model).values
     v = margin_psr(y, Z, y_model).values
     observed = stat(u, v, None)
@@ -678,6 +732,7 @@ def batch_partial_spearman(
     breaking ties; with ``n_perm`` = 0 no draw is made, every p-value is NaN
     and the ranking is by |estimate|.
     """
+    _check_draws(n_perm=config.n_perm)
     if config.n_perm and config.seed is None:
         raise InputError("a seed is required whenever resampling is requested")
     if config.x_model not in _MARGINS:
@@ -741,6 +796,7 @@ def correlation_matrix(
     k = len(names)
     if k < 2:
         raise InputError("a correlation matrix needs at least 2 columns")
+    _check_draws(n_perm=n_perm)
     if n_perm and seed is None:
         raise InputError("a seed is required whenever resampling is requested")
     est = np.eye(k)

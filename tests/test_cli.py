@@ -389,6 +389,22 @@ class TestPcor:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--perm", "-5"], ["--boot", "-1"], ["--boot", "1"],
+         ["--matrix", "--cols", "a,b", "--perm", "-5"]],
+        ids=["perm-negative", "boot-negative", "boot-one", "matrix-perm-negative"],
+    )
+    def test_bad_draw_counts_rejected_before_reading(self, tmp_path, capsys, flags):
+        absent = str(tmp_path / "absent.csv")
+        code = run(
+            ["pcor", "--data", absent, "--schema", SCHEMA, "--x", "age", "--y", "y",
+             "--boot", "0", "--perm", "0", "--seed", "3"] + flags
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert flags[-2] in err and "absent" not in err
+
     def test_matrix_needs_cols(self, table, capsys):
         code = run(
             ["pcor", "--data", table, "--schema", SCHEMA, "--matrix",
@@ -539,6 +555,16 @@ class TestScan:
         )
         assert code == 1
         assert "--threads" in capsys.readouterr().err
+
+    def test_negative_perm_rejected_before_reading(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.csv")
+        code = run(
+            ["scan", "--data", absent, "--schema", SCHEMA, "--y", "y",
+             "--predictors", absent, "--perm", "-3", "--seed", "1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--perm" in err and "absent" not in err
 
     def test_non_numeric_predictor_cell(self, table, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

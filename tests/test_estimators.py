@@ -377,6 +377,84 @@ class TestStackedFit:
             fit_cumulative_link_batch(cols, Z, link="cauchit")
 
 
+def _weighted_panel():
+    """Five design columns; a 5-level outcome (solved dense), an all-distinct
+    one (solved banded) and x = 1[a > 0] but for the row with the largest a,
+    so that a resample without that row is completely separated."""
+    rng = np.random.default_rng(8)
+    n = 120
+    Zm = rng.normal(size=(n, 5))
+    lin = Zm @ [0.8, -0.5, 0.3, 0.2, -0.4]
+    dense = np.digitize(lin + rng.logistic(size=n), [-1.5, -0.5, 0.5, 1.5]).astype(float)
+    banded = lin + rng.logistic(size=n)
+    top = int(np.argmax(Zm[:, 0]))
+    sep = (Zm[:, 0] > 0).astype(float)
+    sep[top] = 0.0
+    cols = [Column.continuous("dense", dense), Column.continuous("banded", banded),
+            Column.binary("sep", sep)]
+    return cols, DesignMatrix(Zm, tuple("abcde")), top, rng
+
+
+class TestWeightedFit:
+    """A member with integer row weights is the fit of its rows, each
+    repeated by its weight."""
+
+    def test_weights_match_repeated_rows(self):
+        (dense, banded, sep), Z, top, rng = _weighted_panel()
+        n = Z.n
+        idxs = [rng.integers(0, n, n) for _ in range(4)]
+        idxs[3][0] = top
+        without_top = rng.choice(np.delete(np.arange(n), top), n)
+        cols = [dense, dense, banded, banded, sep, sep]
+        use = [idxs[0], idxs[1], idxs[2], idxs[3], idxs[3], without_top]
+        weights = np.array([np.bincount(idx, minlength=n) for idx in use])
+        fits = _batch(cols, Z, weights=weights)
+        for col, idx, fit in zip(cols, use, fits):
+            _assert_same_fit(fit, _alone(col.take(idx), Z.take(idx)))
+            assert fit.n_obs == n
+        assert fits[0].alpha.size == 4 and fits[2].alpha.size > 32
+        assert not fits[4].notes
+        assert "capped" in fits[5].notes[0]
+
+    def test_zero_one_weights_are_the_observed_rows(self):
+        cols, Z = _panel(1)
+        masked = _batch(cols, Z)
+        filled = [Column.continuous(c.name, np.where(c.missing, 7.0, c.values)) for c in cols]
+        weights = np.array([~c.missing for c in cols], dtype=float)
+        fits = _batch(filled, Z, weights=weights)
+        for a, b in zip(masked, fits):
+            if isinstance(a, PsrKitError):
+                assert str(a) == str(b)
+                continue
+            assert np.array_equal(a.alpha, b.alpha) and np.array_equal(a.beta, b.beta)
+            assert (a.loglik, a.iterations, a.notes, a.n_obs) == (
+                b.loglik, b.iterations, b.notes, b.n_obs
+            )
+        # captured with the observed-row mask that row weights replace
+        by_name = dict(zip((c.name for c in cols), fits))
+        assert by_name["g0"].loglik == -102.82639434196685
+        assert by_name["many"].loglik == -501.4744152908861
+        assert by_name["many"].beta.tolist() == [-0.020760247660685727, 0.26949854159352943]
+
+    def test_n_obs_is_the_weight_sum(self):
+        (dense, banded, _), Z, _, _ = _weighted_panel()
+        weights = np.ones((2, Z.n))
+        weights[0, :10] = 3.0
+        weights[1, :40] = 0.0
+        fits = _batch([dense, banded], Z, weights=weights)
+        assert [f.n_obs for f in fits] == [Z.n + 20, Z.n - 40]
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.5, np.nan])
+    def test_weights_must_be_nonnegative_integers(self, bad):
+        (dense, _, _), Z, _, _ = _weighted_panel()
+        weights = np.ones((1, Z.n))
+        weights[0, 3] = bad
+        with pytest.raises(InputError, match="nonnegative integers"):
+            fit_cumulative_link_batch([dense], Z, weights=weights)
+        with pytest.raises(InputError, match="one row per column"):
+            fit_cumulative_link_batch([dense], Z, weights=np.ones(Z.n))
+
+
 def _all_distinct(n, seed):
     rng = np.random.default_rng(seed)
     X = rng.logistic(size=(n, 3))

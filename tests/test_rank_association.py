@@ -296,19 +296,63 @@ def _partial(n_boot=30, n_perm=39):
 
 
 def _fail_x_refits(monkeypatch, failing):
-    """Make margin_psr raise on the x refits whose 1-based count is in
-    ``failing``; the first x call is the full-data fit."""
-    calls = [0]
-    real = ra.margin_psr
+    """Make the replicate fitter return a NumericError for the x refit of
+    each bootstrap replicate whose 1-based number is in ``failing``."""
+    done = [0]
+    real = ra._MarginModel.fit_replicates
 
-    def flaky(col, Z, model):
-        if col.name == "x":
-            calls[0] += 1
-            if calls[0] in failing:
-                raise NumericError("injected refit failure")
-        return real(col, Z, model)
+    def flaky(self, col, Z, idxs):
+        fits = real(self, col, Z, idxs)
+        if col.name != "x":
+            return fits
+        first = done[0]
+        done[0] += len(fits)
+        return [
+            NumericError("injected refit failure") if first + k + 1 in failing else fit
+            for k, fit in enumerate(fits)
+        ]
 
-    monkeypatch.setattr(ra, "margin_psr", flaky)
+    monkeypatch.setattr(ra._MarginModel, "fit_replicates", flaky)
+
+
+def _separable_columns():
+    """x = 1[z > 0] but for the row with the largest z: resamples that leave
+    that row out are completely separated."""
+    rng = np.random.default_rng(12)
+    z = rng.normal(0, 1, 40)
+    x = (z > 0).astype(float)
+    x[np.argmax(z)] = 0.0
+    y = z + rng.normal(0, 1, 40)
+    return Column.binary("x", x), Column.continuous("y", y), DesignMatrix(z[:, None], ("z",))
+
+
+def _reference_bootstrap(x, y, Z, n_boot, seed, failing=()):
+    """A per-replicate pairs bootstrap of the partial Spearman with orm-logit
+    margins: one ``margin_psr`` refit of each margin per replicate, capped
+    replicates counted from the warnings the refits raise.  Returns the
+    percentile interval and the notes."""
+    rng = ra._substream(seed, ra._TAG_BOOT)
+    draws, capped = [], 0
+    for b in range(1, n_boot + 1):
+        idx = rng.integers(0, x.n, size=x.n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                if b in failing:
+                    raise NumericError("injected refit failure")
+                u = margin_psr(x.take(idx), Z.take(idx), "orm-logit").values
+                v = margin_psr(y.take(idx), Z.take(idx), "orm-logit").values
+                draws.append(ra._pearson(u, v))
+            except NumericError:
+                pass
+        capped += any("coefficients capped" in str(w.message) for w in caught)
+    notes = []
+    if len(draws) < n_boot:
+        notes.append(f"{n_boot - len(draws)} of {n_boot} bootstrap replicates failed and were dropped")
+    if capped:
+        notes.append(f"{capped} of {n_boot} bootstrap replicates capped coefficients")
+    lo, hi = np.percentile(draws, [2.5, 97.5])
+    return lo, hi, tuple(notes)
 
 
 class TestResamplingEngine:
@@ -320,17 +364,18 @@ class TestResamplingEngine:
             assert r.ci_low <= r.ci_high
             assert r.notes == ()
             assert {i.kind for i in r.resampling} == {"bootstrap", "permutation"}
-        # values captured with the stacked Newton loop on (alpha, beta) and
-        # upper-tail probabilities from the survival function, same seed
+        # values captured with the stacked Newton loop on (alpha, beta),
+        # upper-tail probabilities from the survival function and bootstrap
+        # refits as weighted members of one stacked fit, same seed
         z, r = curve[3]
         assert z == 0.5012730521944495
         assert r.estimate == 0.5434643716264949
-        assert (r.ci_low, r.ci_high) == (0.31556512320320773, 0.7076936012595838)
+        assert (r.ci_low, r.ci_high) == (0.31556512320320784, 0.7076936012595838)
         assert r.p_value == 0.025
         assert curve[2][1].p_value == 0.625
 
     def test_curve_counts_failed_replicates(self, monkeypatch):
-        _fail_x_refits(monkeypatch, {3, 6})
+        _fail_x_refits(monkeypatch, {2, 5})
         curve = _curve(n_boot=20, n_perm=0)
         for _, r in curve:
             assert r.notes == ("2 of 20 bootstrap replicates failed and were dropped",)
@@ -339,27 +384,91 @@ class TestResamplingEngine:
     @pytest.mark.parametrize("estimate", [_partial, _curve], ids=["partial", "curve"])
     def test_too_few_usable_replicates_raise(self, monkeypatch, estimate):
         # 9 of 20 replicates usable: one short of half
-        _fail_x_refits(monkeypatch, set(range(11, 40)))
+        _fail_x_refits(monkeypatch, set(range(10, 21)))
         with pytest.raises(NumericError, match="only 9 of 20 replicates usable"):
             estimate(n_boot=20, n_perm=0)
 
     def test_capped_replicates_counted_after_failures(self, monkeypatch):
-        # x = 1[z > 0] but for the row with the largest z: resamples that
-        # leave that row out are completely separated
-        rng = np.random.default_rng(12)
-        z = rng.normal(0, 1, 40)
-        x = (z > 0).astype(float)
-        x[np.argmax(z)] = 0.0
-        y = z + rng.normal(0, 1, 40)
-        _fail_x_refits(monkeypatch, {2})
-        r = partial_spearman(
-            Column.binary("x", x), Column.continuous("y", y),
-            DesignMatrix(z[:, None], ("z",)), n_boot=20, n_perm=0, seed=3,
-        )
+        _fail_x_refits(monkeypatch, {1})
+        r = partial_spearman(*_separable_columns(), n_boot=20, n_perm=0, seed=3)
         assert r.notes == (
             "1 of 20 bootstrap replicates failed and were dropped",
             "4 of 20 bootstrap replicates capped coefficients",
         )
+
+
+class TestDrawCounts:
+    """A negative draw count, or a single bootstrap replicate, is an input
+    error raised before any fit."""
+
+    @pytest.fixture
+    def no_fits(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(ra, "margin_psr", lambda *args: fits.append(args))
+        yield
+        assert fits == []
+
+    @pytest.mark.parametrize(
+        "kw, text",
+        [({"n_perm": -3}, "n_perm"), ({"n_boot": -1}, "n_boot"), ({"n_boot": 1}, "n_boot")],
+        ids=["perm-negative", "boot-negative", "boot-one"],
+    )
+    def test_estimators_reject(self, no_fits, kw, text):
+        cx, cy, cz = _curve_columns()
+        Z = DesignMatrix(cz.values[:, None], ("z",))
+        for call in (
+            lambda: partial_spearman(cx, cy, Z, **{"n_boot": 0, "n_perm": 0, **kw}, seed=1),
+            lambda: spearman(cx, cy, **kw, seed=1),
+            lambda: conditional_spearman(cx, cy, cz, **kw, seed=1),
+        ):
+            with pytest.raises(InputError, match=text):
+                call()
+
+    def test_scan_and_matrix_reject_negative_perm(self, no_fits):
+        cx, cy, _ = _curve_columns()
+        with pytest.raises(InputError, match="n_perm"):
+            batch_partial_spearman(cy, None, [cx], ScanConfig(n_perm=-3, seed=1))
+        d = Dataset([cx, cy])
+        with pytest.raises(InputError, match="n_perm"):
+            correlation_matrix(d, ["x", "y"], None, n_perm=-3, seed=1)
+
+
+class TestStackedBootstrap:
+    """The orm-* refits of a block of replicates are one weighted stacked fit."""
+
+    @pytest.mark.parametrize("data", ["continuous", "separable"])
+    def test_matches_per_replicate_refits(self, monkeypatch, data):
+        if data == "continuous":
+            cx, cy, cz = _curve_columns()
+            x, y, Z, failing = cx, cy, DesignMatrix(cz.values[:, None], ("z",)), ()
+        else:
+            (x, y, Z), failing = _separable_columns(), {1}
+            _fail_x_refits(monkeypatch, failing)
+        lo, hi, notes = _reference_bootstrap(x, y, Z, 20, 3, failing)
+        r = partial_spearman(
+            x, y, Z, x_model="orm-logit", y_model="orm-logit", n_boot=20, n_perm=0, seed=3
+        )
+        assert abs(r.ci_low - lo) <= 1e-12 and abs(r.ci_high - hi) <= 1e-12
+        assert r.notes == notes
+        if data == "separable":
+            assert notes == (
+                "1 of 20 bootstrap replicates failed and were dropped",
+                "4 of 20 bootstrap replicates capped coefficients",
+            )
+
+    @pytest.mark.parametrize("per_block", [1, 7])
+    def test_interval_does_not_depend_on_blocks(self, monkeypatch, per_block):
+        x, y, Z = _separable_columns()
+
+        def run():
+            return partial_spearman(x, y, Z, n_boot=20, n_perm=0, seed=3)
+
+        whole = run()
+        monkeypatch.setattr(ra, "_BOOT_BLOCK_CELLS", per_block * x.n)
+        blocked = run()
+        assert abs(blocked.ci_low - whole.ci_low) <= 1e-12
+        assert abs(blocked.ci_high - whole.ci_high) <= 1e-12
+        assert blocked.notes == whole.notes
 
 
 def _loop_pvalue(u, v, observed, n_perm, rng, stat):
