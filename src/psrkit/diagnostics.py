@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data_model import Column, ColumnKind
 from .exceptions import InputError
@@ -96,7 +95,9 @@ def ks_uniform(residuals) -> KsResult:
     d_plus = float(np.max(i / n - u))
     d_minus = float(np.max(u - (i - 1.0) / n))
     d = max(d_plus, d_minus, 0.0)
-    p = float(special.kolmogorov(np.sqrt(n) * d))
+    from scipy.special import kolmogorov
+
+    p = float(kolmogorov(np.sqrt(n) * d))
     return KsResult(statistic=d, p_value=p, n=n)
 
 

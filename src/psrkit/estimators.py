@@ -60,8 +60,6 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
-from scipy.linalg.lapack import dgtsv
 
 from .data_model import Column, ColumnKind, DesignMatrix, ORDERABLE_KINDS
 from .exceptions import ConvergenceError, DegenerateFitError, InputError, PsrKitError
@@ -114,8 +112,44 @@ class LinkFamily:
     quantile: Callable[[np.ndarray], np.ndarray]
 
 
+# scipy is imported inside each function that calls it, so that importing
+# psrkit loads only numpy; the logit link, the one a genotype scan uses,
+# needs no scipy at all
+
+
+def _expit(x):
+    """The logistic CDF 1 / (1 + exp(-x)); exp overflows to inf below
+    x = -709, which gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _logit(p):
+    """log(p / (1 - p)): -inf at 0 and +inf at 1.  Near p = 1/2 that ratio
+    loses the low bits of its logarithm, so there (as scipy's logit does)
+    it is log1p(s) - log1p(-s) with s = 2p - 1."""
+    p = np.asarray(p, dtype=float)
+    s = 2.0 * (p - 0.5)
+    with np.errstate(divide="ignore"):
+        return np.where(
+            (p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)), np.log1p(s) - np.log1p(-s)
+        )
+
+
+def _ndtr(x):
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
+def _ndtri(p):
+    from scipy.special import ndtri
+
+    return ndtri(p)
+
+
 def _logit_pdf_dpdf(eta):
-    p = special.expit(eta)
+    p = _expit(eta)
     pdf = p * (1.0 - p)
     return pdf, pdf * (1.0 - 2.0 * p)
 
@@ -148,17 +182,17 @@ def _loglog_pdf_dpdf(eta):
 CUMULATIVE_LINKS: dict[str, LinkFamily] = {
     "logit": LinkFamily(
         "logit",
-        cdf=special.expit,
-        sf=lambda eta: special.expit(-eta),
+        cdf=_expit,
+        sf=lambda eta: _expit(-eta),
         pdf_dpdf=_logit_pdf_dpdf,
-        quantile=special.logit,
+        quantile=_logit,
     ),
     "probit": LinkFamily(
         "probit",
-        cdf=special.ndtr,
-        sf=lambda eta: special.ndtr(-eta),
+        cdf=_ndtr,
+        sf=lambda eta: _ndtr(-eta),
         pdf_dpdf=_probit_pdf_dpdf,
-        quantile=special.ndtri,
+        quantile=_ndtri,
     ),
     "cloglog": LinkFamily(
         "cloglog",
@@ -403,10 +437,12 @@ def _clm_score(alpha, beta, st):
 
 def _solve_bordered(h_diag, h_off, h_ab, h_bb, g_alpha, g_beta, ridge):
     """Solve [[M, h_ab], [h_ab', h_bb]] v = g with M tridiagonal, minus a ridge."""
-    p = h_bb.shape[0]
-    rhs = np.column_stack([g_alpha, h_ab]) if p else g_alpha[:, None]
     # LAPACK's tridiagonal solver, which scipy's solve_banded calls for one
     # band on each side, without that wrapper's per-call checks
+    from scipy.linalg.lapack import dgtsv
+
+    p = h_bb.shape[0]
+    rhs = np.column_stack([g_alpha, h_ab]) if p else g_alpha[:, None]
     *_, sol, info = dgtsv(h_off, h_diag - ridge, h_off, rhs)
     if info:
         raise np.linalg.LinAlgError("singular tridiagonal block")
@@ -798,7 +834,7 @@ def fit_empirical(y: Column) -> ModelFit:
     cum = np.cumsum(counts) / n
     cum[-1] = 1.0
     # metadata intercepts on the logit scale; predictions use the exact ECDF
-    alpha = special.logit(cum[:-1]) if support.size > 1 else np.zeros(0)
+    alpha = _logit(cum[:-1]) if support.size > 1 else np.zeros(0)
     loglik = float(np.sum(counts * np.log(counts / n)))
     return ModelFit(
         link="empirical",
@@ -905,7 +941,9 @@ def fit_poisson(
     full = np.column_stack([np.ones(n), Xm])
     if np.linalg.matrix_rank(full) < p + 1:
         raise InputError("design matrix is rank deficient once an intercept is added")
-    const = float(np.sum(special.gammaln(yv + 1.0)))
+    from scipy.special import gammaln
+
+    const = float(np.sum(gammaln(yv + 1.0)))
 
     def loglik_at(coef):
         eta = full @ coef
@@ -1014,12 +1052,14 @@ def predict_distribution(fit: ModelFit, row) -> FittedDistribution:
     if fit.link == "log-exponential":
         return ExponentialDist(float(np.exp(fit.alpha[0] + xb)))
     if fit.link == "log-poisson":
+        from scipy.special import pdtr
+
         mu = float(np.exp(fit.alpha[0] + xb))
         top = int(mu)
-        while special.pdtr(top, mu) < _POISSON_TAIL:
+        while pdtr(top, mu) < _POISSON_TAIL:
             top += 1
         points = np.arange(top + 1, dtype=float)
-        cp = special.pdtr(points, mu)
+        cp = pdtr(points, mu)
         np.clip(cp, 0.0, 1.0, out=cp)
         return DiscreteSupport(points, cp)
     raise InputError(f"unknown link {fit.link!r}")
@@ -1043,4 +1083,6 @@ def lr_test(reduced: ModelFit, full: ModelFit) -> LikelihoodRatioTest:
         raise InputError("the second fit must have more parameters than the first")
     stat = 2.0 * (full.loglik - reduced.loglik)
     stat = max(stat, 0.0)
-    return LikelihoodRatioTest(stat, df, float(special.chdtrc(df, stat)))
+    from scipy.special import chdtrc
+
+    return LikelihoodRatioTest(stat, df, float(chdtrc(df, stat)))

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "DiscreteSupport",
@@ -103,8 +102,8 @@ class NormalDist:
     """Normal(mu, sigma) with sigma > 0.
 
     The CDF is evaluated through the complementary error function
-    (``scipy.special.ndtr``), accurate to well below 1e-12 absolute error
-    over the entire real line.
+    (``scipy.special.ndtr``, which loads scipy at the first call), accurate
+    to well below 1e-12 absolute error over the entire real line.
     """
 
     mu: float
@@ -117,7 +116,9 @@ class NormalDist:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
 
     def cdf(self, y: float) -> float:
-        return float(special.ndtr((y - self.mu) / self.sigma))
+        from scipy.special import ndtr
+
+        return float(ndtr((y - self.mu) / self.sigma))
 
     def cdf_left(self, y: float) -> float:
         # continuous distribution: no atoms, the left limit equals the CDF

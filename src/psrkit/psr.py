@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data_model import Column, ColumnKind, DesignMatrix
 from .estimators import CUMULATIVE_LINKS, ModelFit
@@ -144,12 +143,16 @@ def psr_all(fit: ModelFit, col: Column, X: DesignMatrix | None = None) -> PsrVec
     if fit.link == "empirical" or fit.link in CUMULATIVE_LINKS:
         vals = _discrete_psr(fit, yv, xb)
     elif fit.link == "identity-normal":
-        vals = 2.0 * special.ndtr((yv - (fit.alpha[0] + xb)) / fit.scale) - 1.0
+        from scipy.special import ndtr
+
+        vals = 2.0 * ndtr((yv - (fit.alpha[0] + xb)) / fit.scale) - 1.0
     elif fit.link == "log-poisson":
+        from scipy.special import pdtr
+
         mu = np.exp(fit.alpha[0] + xb)
         # F(y-) is pdtr(y - 1), which is NaN rather than 0 at y = 0
-        below = np.where(yv >= 1.0, special.pdtr(yv - 1.0, mu), 0.0)
-        vals = below + special.pdtr(yv, mu) - 1.0
+        below = np.where(yv >= 1.0, pdtr(yv - 1.0, mu), 0.0)
+        vals = below + pdtr(yv, mu) - 1.0
     else:  # log-exponential, the one link of LINKS left
         rate = np.exp(fit.alpha[0] + xb)
         cdf = np.where(yv > 0, -np.expm1(-rate * yv), 0.0)
@@ -201,4 +204,6 @@ def normal_transform(residuals: PsrVector | np.ndarray) -> np.ndarray:
             f"{n_exact} residual(s) of exactly +-1 map to infinite normal scores",
             stacklevel=2,
         )
-    return special.ndtri((r + 1.0) / 2.0)
+    from scipy.special import ndtri
+
+    return ndtri((r + 1.0) / 2.0)

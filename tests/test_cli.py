@@ -58,6 +58,17 @@ def _parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+def _python_stdout(code):
+    """Standard output of ``python -c code`` with this psrkit on the path."""
+    import psrkit
+
+    src = os.path.dirname(os.path.dirname(psrkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 class TestTopLevel:
     def test_no_args_usage_exit_1(self, capsys):
         assert run([]) == 1
@@ -94,16 +105,9 @@ class TestTopLevel:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_import_leaves_out_scipy_stats(self):
-        import psrkit
-
-        src = os.path.dirname(os.path.dirname(psrkit.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, psrkit.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "False"
+    def test_import_leaves_out_scipy(self):
+        code = "import sys, psrkit.cli; print('scipy' in sys.modules)"
+        assert _python_stdout(code).strip() == "False"
 
 
 class TestFit:
@@ -480,6 +484,23 @@ class TestScan:
         rows = _parse_csv(out1.read_text())[1:]
         assert len(rows) == 150
         assert sum(r[5] == "ok" for r in rows) > 100
+
+    def test_genotype_scan_leaves_out_scipy(self, table, tmp_path):
+        # a scan of genotype predictors (few levels: dense x-fits, logit
+        # link) and a linear-empirical outcome needs nothing from scipy
+        rng = np.random.default_rng(80)
+        cols = {f"g{j}": rng.binomial(2, 0.4, 40).astype(float).tolist() for j in range(4)}
+        cols["g0"][2] = None
+        preds = self._write_columns(tmp_path / "g.csv", cols)
+        args = ["scan", "--data", table, "--schema", SCHEMA, "--y", "y", "--z", "age,sex",
+                "--predictors", preds, "--x-model", "orm-logit",
+                "--y-model", "linear-empirical", "--perm", "19", "--seed", "3",
+                "--threads", "1", "--out", str(tmp_path / "s.csv")]
+        code = (
+            "import sys; from psrkit.cli import run; "
+            f"print(run({args!r}), 'scipy' in sys.modules)"
+        )
+        assert _python_stdout(code).split() == ["0", "False"]
 
     def test_block_statuses_and_details(self, table, tmp_path, capsys):
         # one block mixing ok, degenerate, capped and failed predictors; the

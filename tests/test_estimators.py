@@ -19,6 +19,8 @@ from psrkit.estimators import (
     ModelFit,
     _ClmStack,
     _clm_score,
+    _expit,
+    _logit,
     _solve_bordered,
     fit_cumulative_link,
     fit_cumulative_link_batch,
@@ -97,6 +99,59 @@ def clm_loglik(alpha, beta, y_values, X, link):
         lo = 0.0 if j == 0 else h(alpha[j - 1] - xb)
         total += np.log(hi - lo)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the logit link's numpy functions, against scipy.special
+# ---------------------------------------------------------------------------
+
+
+def _ulps(a, b):
+    """|a - b| in units of the spacing at the larger magnitude."""
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+class TestLogitFunctions:
+    @staticmethod
+    def _grid():
+        rng = np.random.default_rng(11)
+        return np.concatenate([
+            rng.uniform(-800.0, 800.0, 20000),
+            rng.uniform(-40.0, 40.0, 20000),
+            rng.normal(0.0, 1.0, 20000),
+            [-800.0, -745.0, -709.0, -36.0, 0.0, 36.0, 709.0, 800.0],
+        ])
+
+    def test_expit_matches_scipy(self):
+        x = self._grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _expit(x)
+        assert np.max(_ulps(got, special.expit(x))) <= 4.0
+
+    def test_logit_matches_scipy(self):
+        rng = np.random.default_rng(12)
+        # probabilities of every size, and the interval around 1/2 where
+        # log(p / (1 - p)) alone would lose accuracy
+        p = special.expit(self._grid())
+        p = np.concatenate([p, rng.uniform(0.0, 1.0, 20000), rng.uniform(0.29, 0.66, 20000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _logit(p)
+        want = special.logit(p)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        assert np.max(_ulps(got[finite], want[finite])) <= 4.0
+
+    def test_exact_limits_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _expit(np.array([-np.inf, -800.0, 800.0, np.inf])).tolist() == [
+                0.0, 0.0, 1.0, 1.0,
+            ]
+            assert _expit(-800.0) == 0.0 and _expit(800.0) == 1.0
+            assert _logit(np.array([0.0, 0.5, 1.0])).tolist() == [-np.inf, 0.0, np.inf]
+            assert _logit(0.0) == -np.inf and _logit(1.0) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +485,12 @@ class TestWeightedFit:
             assert (a.loglik, a.iterations, a.notes, a.n_obs) == (
                 b.loglik, b.iterations, b.notes, b.n_obs
             )
-        # captured with the observed-row mask that row weights replace
+        # captured with the observed-row mask that row weights replace; the
+        # "many" values recaptured with the numpy logit link
         by_name = dict(zip((c.name for c in cols), fits))
         assert by_name["g0"].loglik == -102.82639434196685
-        assert by_name["many"].loglik == -501.4744152908861
-        assert by_name["many"].beta.tolist() == [-0.020760247660685727, 0.26949854159352943]
+        assert by_name["many"].loglik == -501.47441529088604
+        assert by_name["many"].beta.tolist() == [-0.020760247660685117, 0.26949854159353015]
 
     def test_n_obs_is_the_weight_sum(self):
         (dense, banded, _), Z, _, _ = _weighted_panel()
