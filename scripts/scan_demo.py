@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""A predictor scan that must not depend on the number of worker processes.
+"""Predictor scans that must not depend on the number of worker processes.
 
-Writes a small seeded table and a genotype-like predictor panel that spans
-several blocks of predictors. The panel has missing cells, a predictor with
-a level seen in a single row, a constant predictor and a predictor that sex
-separates. Runs `python -m psrkit.cli scan` with `--threads 1` and
-`--threads 2`, exits 1 unless the two outputs are byte-identical, and
+Writes a small seeded table and two predictor panels, each spanning several
+blocks of predictors. The genotype-like panel has missing cells, a
+predictor with a level seen in a single row, a constant predictor and a
+predictor that sex separates. The continuous panel has missing cells and
+about 118 distinct values per predictor, so its `orm-logit` x-margins take
+the banded Newton solve (more than 32 unknowns) in the worker processes.
+Runs `python -m psrkit.cli scan` on each panel with `--threads 1` and
+`--threads 2`, exits 1 unless each pair of outputs is byte-identical, and
 prints the count of each status.
 
 Usage: python3 scripts/scan_demo.py [OUTDIR]
@@ -20,6 +23,7 @@ import numpy as np
 
 N_ROWS = 120
 N_PREDICTORS = 150
+N_CONTINUOUS = 130
 
 
 def _write(path: pathlib.Path, columns: dict) -> None:
@@ -47,17 +51,24 @@ def write_inputs(outdir: pathlib.Path) -> None:
     y = 0.02 * age + 0.3 * sex + 0.8 * np.nan_to_num(panel["snp000"]) + rng.normal(size=N_ROWS)
     _write(outdir / "main.csv", {"y": y, "age": age, "sex": sex})
     _write(outdir / "predictors.csv", panel)
+    continuous = {}
+    for j in range(N_CONTINUOUS):
+        x = 0.5 * y + rng.normal(size=N_ROWS) if j < 3 else rng.lognormal(size=N_ROWS)
+        x[rng.random(N_ROWS) < 0.02] = np.nan
+        continuous[f"x{j:03d}"] = x
+    _write(outdir / "continuous.csv", continuous)
 
 
-def scan(outdir: pathlib.Path, threads: int) -> bytes:
-    out = outdir / f"scan_{threads}.csv"
+def scan(outdir: pathlib.Path, panel: str, threads: int) -> bytes:
+    out = outdir / f"scan_{panel}_{threads}.csv"
     subprocess.run(
         [
             sys.executable, "-m", "psrkit.cli", "scan",
             "--data", str(outdir / "main.csv"),
             "--schema", "y:continuous,age:continuous,sex:binary",
             "--y", "y", "--z", "age,sex",
-            "--predictors", str(outdir / "predictors.csv"),
+            "--predictors", str(outdir / f"{panel}.csv"),
+            "--x-model", "orm-logit",
             "--perm", "99", "--seed", "11",
             "--threads", str(threads), "--out", str(out),
         ],
@@ -70,17 +81,21 @@ def main(argv: list[str]) -> int:
     outdir = pathlib.Path(argv[0]) if argv else pathlib.Path("scan_demo_out")
     outdir.mkdir(parents=True, exist_ok=True)
     write_inputs(outdir)
-    one, two = scan(outdir, 1), scan(outdir, 2)
-    rows = list(csv.DictReader(one.decode("utf-8").splitlines()))
-    counts = collections.Counter(r["status"] for r in rows)
-    print(", ".join(f"{status}: {counts[status]}" for status in sorted(counts)))
-    capped = sum("capped" in r["detail"] for r in rows)
-    print(f"capped: {capped}")
-    if one != two:
-        print("scan output differs between --threads 1 and --threads 2", file=sys.stderr)
-        return 1
-    print("--threads 1 and --threads 2 outputs are byte-identical")
-    return 0
+    code = 0
+    for panel in ("predictors", "continuous"):
+        one, two = scan(outdir, panel, 1), scan(outdir, panel, 2)
+        rows = list(csv.DictReader(one.decode("utf-8").splitlines()))
+        counts = collections.Counter(r["status"] for r in rows)
+        print(f"{panel}: " + ", ".join(f"{status}: {counts[status]}" for status in sorted(counts)))
+        capped = sum("capped" in r["detail"] for r in rows)
+        print(f"{panel}: capped: {capped}")
+        if one != two:
+            print(f"{panel}: scan output differs between --threads 1 and --threads 2",
+                  file=sys.stderr)
+            code = 1
+        else:
+            print(f"{panel}: --threads 1 and --threads 2 outputs are byte-identical")
+    return code
 
 
 if __name__ == "__main__":

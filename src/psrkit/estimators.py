@@ -36,10 +36,18 @@ once.  The alpha block of each member's Hessian is tridiagonal because each
 observation couples only its own two adjacent cut points.  The linear solve
 is the only step whose method depends on shape: a member with at most
 ``_DENSE_MAX_K`` unknowns (J - 1 + p) is solved as a dense system, stacked
-with the other small members in one ``np.linalg.solve``; a larger one is
-solved through the tridiagonal structure plus a p x p Schur complement, so
-one iteration costs O(J + n p + p^3) even when every outcome value is
-distinct.
+with the other small members in one ``np.linalg.solve``.  The larger members
+are solved together, in numpy, through the tridiagonal structure: one
+odd-even cyclic reduction over the stack carries the right-hand sides
+[g_alpha, h_alpha_beta] along, and each member then solves its p x p Schur
+complement, so one iteration costs O(J p + n p + p^3) even when every
+outcome value is distinct.  Cyclic reduction is Gaussian elimination on the
+odd-even permutation of the alpha block and takes its pivots from the
+diagonal without row exchanges.  That is stable because every link offered
+has a log-concave density, which makes the alpha block less its ridge
+negative definite, and elimination without pivoting is stable for a
+definite matrix.  A zero or non-finite pivot marks the member's step as
+failed, and the member retries with a ridge.
 
 Every Newton fit stops on the Newton decrement |g' M^{-1} g| (M the Hessian
 or information matrix), not on the size of the score: once it is at most
@@ -435,25 +443,117 @@ def _clm_score(alpha, beta, st):
     )
 
 
-def _solve_bordered(h_diag, h_off, h_ab, h_bb, g_alpha, g_beta, ridge):
-    """Solve [[M, h_ab], [h_ab', h_bb]] v = g with M tridiagonal, minus a ridge."""
-    # LAPACK's tridiagonal solver, which scipy's solve_banded calls for one
-    # band on each side, without that wrapper's per-call checks
-    from scipy.linalg.lapack import dgtsv
+def _reduce(D, O, R):
+    """Odd-even cyclic reduction, in place, of a stack of symmetric
+    tridiagonal systems: diagonals ``D`` (m, w), couplings ``O`` (m, w) of
+    each row to the next (0 for the last row) and right-hand sides ``R``
+    (m, r, w).
 
-    p = h_bb.shape[0]
-    rhs = np.column_stack([g_alpha, h_ab]) if p else g_alpha[:, None]
-    *_, sol, info = dgtsv(h_off, h_diag - ridge, h_off, rhs)
-    if info:
-        raise np.linalg.LinAlgError("singular tridiagonal block")
-    y_a = sol[:, 0]
-    if not p:
-        return y_a, np.zeros(0)
-    y_ab = sol[:, 1:]
-    schur = (h_bb - ridge * np.eye(p)) - h_ab.T @ y_ab
-    v_b = np.linalg.solve(schur, g_beta - h_ab.T @ y_a)
-    v_a = y_a - y_ab @ v_b
-    return v_a, v_b
+    Each level eliminates the odd rows of the system left by the level
+    before (the rows at odd multiples of its stride s) from the even rows,
+    which form the next level's system.  Afterwards every row holds the
+    pivot and the right-hand side it had when it was eliminated (row 0
+    last, alone); :func:`_substitute` solves back from there.  A row past
+    a member's own rows, with diagonal -1 and coupling 0, takes part as
+    ``-x = 0``, so a member's rows take the same operations, bit for bit,
+    however wide the stack is.  Returns the levels that
+    :func:`_substitute` needs.
+    """
+    w = D.shape[1]
+    levels = []
+    s = 1
+    while s < w:
+        piv, d_even = D[:, s :: 2 * s], D[:, :: 2 * s]
+        r_even, r_odd = R[..., :: 2 * s], R[..., s :: 2 * s]
+        # k odd rows, the first e of them followed by an even row
+        k, e = piv.shape[1], d_even.shape[1] - 1
+        o_lo = O[:, :: 2 * s][:, :k].copy()
+        o_hi = O[:, s :: 2 * s][:, :e]
+        # even row 2i sheds odd row 2i + 1 times lo[i], and row 2i - 1 times hi[i - 1]
+        lo, hi = o_lo / piv, o_hi / piv[:, :e]
+        d_even[:, :k] -= lo * o_lo
+        d_even[:, 1 : e + 1] -= hi * o_hi
+        r_even[..., :k] -= lo[:, None] * r_odd
+        r_even[..., 1 : e + 1] -= hi[:, None] * r_odd[..., :e]
+        O[:, :: 2 * s][:, :e] = -lo[:, :e] * o_hi
+        levels.append((s, k, e, o_lo, o_hi))
+        s *= 2
+    return levels
+
+
+def _substitute(D, x, levels):
+    """Back substitution, in place, after :func:`_reduce`: ``x`` (m, w)
+    holds a right-hand side as reduced there, and ends as the solution."""
+    x[:, 0] /= D[:, 0]
+    for s, k, e, o_lo, o_hi in reversed(levels):
+        x_even, x_odd = x[:, :: 2 * s], x[:, s :: 2 * s]
+        x_odd -= o_lo * x_even[:, :k]
+        x_odd[:, :e] -= o_hi * x_even[:, 1 : e + 1]
+        x_odd /= D[:, s :: 2 * s]
+
+
+def _banded_steps(score, n_alpha, ridge):
+    """Newton steps of members with many unknowns, as one batched solve of
+    the bordered systems [[M, h_ab], [h_ab', h_bb]] v = g less each
+    member's ridge, M tridiagonal.
+
+    Cyclic reduction of M carries the right-hand sides [g_a, h_ab] along.
+    Each member's p x p Schur complement h_bb - h_ab' M^{-1} h_ab and
+    right-hand side g_b - h_ab' M^{-1} g_a are then sums over its rows of
+    the reduced right-hand sides over their pivots, v_beta solves that
+    system, and one back substitution of g_a - h_ab v_beta gives v_alpha.
+
+    No pivoting is needed.  Every link offered has a log-concave density, so
+    M less its ridge is negative definite, and so is the odd-even permutation
+    of M on which cyclic reduction is Gaussian elimination; elimination
+    without pivoting is stable for a definite matrix.  A zero or non-finite
+    pivot, a singular Schur complement or a non-finite step marks that
+    member unsolved, as the dense path does.
+    """
+    _, g_a, g_b, h_d, h_o, h_ab, h_bb = score[:7]
+    m, p = g_b.shape
+    w = int(n_alpha.max())
+    own = np.arange(w) < n_alpha[:, None]
+    # past a member's own cut points: diagonal -1, coupling 0, right-hand side 0
+    D = np.where(own, h_d[:, :w] - ridge[:, None], -1.0)
+    O = np.zeros((m, w))
+    O[:, : w - 1] = np.where(own[:, 1:], h_o[:, : w - 1], 0.0)
+    R = np.empty((m, 1 + p, w))
+    R[:, 0] = g_a[:, :w]
+    R[:, 1:] = h_ab[:, :w].transpose(0, 2, 1)
+    R *= own[:, None]
+    # a failed member's inf and nan are caught by the checks on its result
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        levels = _reduce(D, O, R)
+        solved = np.all(np.isfinite(D) & (D != 0.0), axis=1)
+        solved &= np.all(np.isfinite(R), axis=(1, 2))
+        v_b = np.zeros((m, p))
+        tried = np.flatnonzero(solved)
+        if p and tried.size:
+            schur = h_bb[tried] - ridge[tried, None, None] * np.eye(p)
+            rhs = g_b[tried, :, None].copy()
+            for j, i in enumerate(tried):
+                # over the member's own rows only, so that its sums do not
+                # depend on the width of the stack
+                k = n_alpha[i]
+                sums = (R[i, 1:, :k] / D[i, :k]) @ R[i, :, :k].T
+                schur[j] -= sums[:, 1:]
+                rhs[j, :, 0] -= sums[:, 0]
+            try:
+                v_b[tried] = np.linalg.solve(schur, rhs)[..., 0]
+            except np.linalg.LinAlgError:
+                # one singular block fails the stacked call: solve one at a time
+                for j, i in enumerate(tried):
+                    try:
+                        v_b[i] = np.linalg.solve(schur[j : j + 1], rhs[j : j + 1])[0, :, 0]
+                    except np.linalg.LinAlgError:
+                        solved[i] = False
+        x = R[:, 0] - np.sum(R[:, 1:] * v_b[..., None], axis=1)
+        _substitute(D, x, levels)
+        solved &= np.all(np.isfinite(x), axis=1) & np.all(np.isfinite(v_b), axis=1)
+    v_a = np.zeros_like(g_a)
+    v_a[:, :w] = np.where(own, x, 0.0)
+    return v_a, v_b, solved
 
 
 #: a member with at most this many unknowns (J - 1 + p) is solved as a dense
@@ -497,28 +597,18 @@ def _dense_steps(score, n_alpha, ridge):
 def _newton_steps(score, n_alpha, ridge):
     """Each member's Newton step (v_alpha, v_beta) for the system less its
     ridge, and whether that member's solve gave a finite step."""
-    _, g_a, g_b, h_d, h_o, h_ab, h_bb = score[:7]
+    g_a, g_b = score[1], score[2]
     banded = n_alpha + g_b.shape[1] > _DENSE_MAX_K
     if not banded.any():
         return _dense_steps(score, n_alpha, ridge)
-    v_a, v_b = np.zeros_like(g_a), np.zeros_like(g_b)
-    solved = np.zeros(n_alpha.size, dtype=bool)
-    if not banded.all():
-        dense = np.flatnonzero(~banded)
-        v_a[dense], v_b[dense], solved[dense] = _dense_steps(
-            [s[dense] for s in score], n_alpha[dense], ridge[dense]
-        )
-    for i in np.flatnonzero(banded):
-        k = n_alpha[i]
-        try:
-            va, vb = _solve_bordered(
-                h_d[i, :k], h_o[i, : k - 1], h_ab[i, :k], h_bb[i], g_a[i, :k], g_b[i], ridge[i]
-            )
-        except np.linalg.LinAlgError:
-            continue
-        v_a[i, :k], v_b[i] = va, vb
-        solved[i] = np.all(np.isfinite(va)) and np.all(np.isfinite(vb))
-    return v_a, v_b, solved
+    if banded.all():
+        return _banded_steps(score, n_alpha, ridge)
+    steps = np.zeros_like(g_a), np.zeros_like(g_b), np.zeros(n_alpha.size, dtype=bool)
+    for solve, members in ((_dense_steps, ~banded), (_banded_steps, banded)):
+        i = np.flatnonzero(members)
+        v_a, v_b, solved = solve([s[i] for s in score], n_alpha[i], ridge[i])
+        steps[0][i], steps[1][i], steps[2][i] = v_a, v_b, solved
+    return steps
 
 
 def _ridged_steps(score, n_alpha):

@@ -109,6 +109,19 @@ class TestTopLevel:
         code = "import sys, psrkit.cli; print('scipy' in sys.modules)"
         assert _python_stdout(code).strip() == "False"
 
+    def test_all_distinct_fit_leaves_out_scipy(self):
+        # 3000 cut points: the banded Newton solve, in numpy
+        code = (
+            "import sys; import numpy as np; "
+            "from psrkit.data_model import Column, DesignMatrix; "
+            "from psrkit.estimators import fit_cumulative_link; "
+            "rng = np.random.default_rng(3); X = rng.normal(size=(3000, 2)); "
+            "y = X @ [1.0, -0.5] + rng.logistic(size=3000); "
+            "fit = fit_cumulative_link(Column.continuous('y', y), DesignMatrix(X, ('a', 'b'))); "
+            "print(fit.alpha.size, fit.converged, 'scipy' in sys.modules)"
+        )
+        assert _python_stdout(code).split() == ["2999", "True", "False"]
+
 
 class TestFit:
     def test_json_summary(self, table, capsys):
@@ -337,6 +350,19 @@ class TestPcor:
         assert float(rec["ci_low"]) < float(rec["estimate"]) < float(rec["ci_high"])
         assert 0 < float(rec["p_value"]) <= 1
         assert rec["n_used"] == "38"
+
+    def test_continuous_margins_leave_out_scipy(self, table, tmp_path):
+        # y and age take 38 distinct values: banded solves in the margin fits
+        # and in the stacked bootstrap refits
+        args = ["pcor", "--data", table, "--schema", SCHEMA, "--x", "age", "--y", "y",
+                "--z", "sex", "--x-model", "orm-logit", "--y-model", "orm-logit",
+                "--boot", "20", "--perm", "20", "--seed", "7",
+                "--out", str(tmp_path / "p.csv")]
+        code = (
+            "import sys; from psrkit.cli import run; "
+            f"print(run({args!r}), 'scipy' in sys.modules)"
+        )
+        assert _python_stdout(code).split() == ["0", "False"]
 
     def test_unadjusted_without_z(self, table, capsys):
         code = run(

@@ -18,10 +18,10 @@ from psrkit.estimators import (
     DECREMENT_TOL,
     ModelFit,
     _ClmStack,
+    _banded_steps,
     _clm_score,
     _expit,
     _logit,
-    _solve_bordered,
     fit_cumulative_link,
     fit_cumulative_link_batch,
     fit_empirical,
@@ -486,11 +486,12 @@ class TestWeightedFit:
                 b.loglik, b.iterations, b.notes, b.n_obs
             )
         # captured with the observed-row mask that row weights replace; the
-        # "many" values recaptured with the numpy logit link
+        # "many" values recaptured with the numpy logit link and again with
+        # the numpy cyclic-reduction banded solve
         by_name = dict(zip((c.name for c in cols), fits))
         assert by_name["g0"].loglik == -102.82639434196685
-        assert by_name["many"].loglik == -501.47441529088604
-        assert by_name["many"].beta.tolist() == [-0.020760247660685117, 0.26949854159353015]
+        assert by_name["many"].loglik == -501.4744152908861
+        assert by_name["many"].beta.tolist() == [-0.020760247660685453, 0.269498541593529]
 
     def test_n_obs_is_the_weight_sum(self):
         (dense, banded, _), Z, _, _ = _weighted_panel()
@@ -540,14 +541,94 @@ class TestLargeSupport:
         stack = _ClmStack(
             codes[None], np.ones((1, codes.size), bool), X.matrix, CUMULATIVE_LINKS["logit"]
         )
-        _, g_a, g_b, h_d, h_o, h_ab, h_bb = (
-            s[0] for s in _clm_score(fit.alpha[None], fit.beta[None], stack)[:7]
-        )
-        v_a, v_b = _solve_bordered(h_d, h_o, h_ab, h_bb, g_a, g_b, 0.0)
+        score = _clm_score(fit.alpha[None], fit.beta[None], stack)
+        v_a, v_b, solved = _banded_steps(score, stack.n_alpha, np.zeros(1))
+        assert solved[0]
+        g_a, g_b, v_a, v_b = score[1][0], score[2][0], v_a[0], v_b[0]
         assert abs(g_a @ v_a + g_b @ v_b) <= DECREMENT_TOL
         pi = logit_pi_extended(fit.alpha, fit.beta, codes, X.matrix)
         pi_step = logit_pi_extended(fit.alpha - v_a, fit.beta - v_b, codes, X.matrix)
         assert np.sum(np.log(pi_step / pi)) <= 1e-9
+
+
+def _bordered_stack(sizes, p, seed=0):
+    """The score pieces of a stack of bordered systems, member i with
+    ``sizes[i]`` intercepts, zero past them; each system is symmetric,
+    strictly diagonally dominant and has a negative diagonal, so it is
+    negative definite as a concave log-likelihood's Hessian is."""
+    rng = np.random.default_rng(seed)
+    m, w = len(sizes), max(sizes)
+    g_a, h_d, h_ab = np.zeros((m, w)), np.zeros((m, w)), np.zeros((m, w, p))
+    h_o, h_bb = np.zeros((m, w - 1)), np.zeros((m, p, p))
+    for i, k in enumerate(sizes):
+        off = rng.uniform(0.1, 1.0, k - 1) * rng.choice([-1.0, 1.0], k - 1)
+        ab = rng.normal(0.0, 0.3, (k, p))
+        h_o[i, : k - 1] = off
+        h_ab[i, :k] = ab
+        dominance = np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0]) + np.abs(ab).sum(axis=1)
+        h_d[i, :k] = -(dominance + rng.uniform(0.1, 1.0, k))
+        g_a[i, :k] = rng.normal(size=k)
+        bb = rng.normal(0.0, 0.1, (p, p))
+        bb += bb.T
+        h_bb[i] = bb - np.diag(np.abs(ab).sum(axis=0) + np.abs(bb).sum(axis=1) + 1.0)
+    return [None, g_a, rng.normal(size=(m, p)), h_d, h_o, h_ab, h_bb]
+
+
+def _dense_bordered_step(score, i, k, ridge):
+    """Member i's step from ``np.linalg.solve`` on its assembled matrix."""
+    g_a, g_b, h_d, h_o, h_ab, h_bb = (s[i] for s in score[1:])
+    p = g_b.size
+    H = np.diag(h_d[:k] - ridge) + np.diag(h_o[: k - 1], 1) + np.diag(h_o[: k - 1], -1)
+    H = np.block([[H, h_ab[:k]], [h_ab[:k].T, h_bb - ridge * np.eye(p)]])
+    sol = np.linalg.solve(H, np.concatenate([g_a[:k], g_b]))
+    return sol[:k], sol[k:]
+
+
+_BANDED_SIZES = [33, 512, 1023, 1024, 1025, 2000]
+
+
+class TestBandedSolve:
+    """The batched cyclic-reduction solve of the bordered Newton systems."""
+
+    @pytest.mark.parametrize("p", [0, 3])
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_matches_dense_solve(self, p, ridge):
+        score = _bordered_stack(_BANDED_SIZES, p)
+        v_a, v_b, solved = _banded_steps(score, np.array(_BANDED_SIZES), np.full(6, ridge))
+        assert solved.all()
+        for i, k in enumerate(_BANDED_SIZES):
+            ref_a, ref_b = _dense_bordered_step(score, i, k, ridge)
+            ref, got = np.concatenate([ref_a, ref_b]), np.concatenate([v_a[i, :k], v_b[i]])
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+            assert not v_a[i, k:].any()
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_member_alone_is_bit_identical(self, p):
+        score = _bordered_stack(_BANDED_SIZES, p, seed=1)
+        n_alpha, ridge = np.array(_BANDED_SIZES), np.full(6, 0.25)
+        block = _banded_steps(score, n_alpha, ridge)
+        for i, k in enumerate(_BANDED_SIZES):
+            alone = _banded_steps([None] + [s[[i]] for s in score[1:]], n_alpha[[i]], ridge[[i]])
+            assert alone[0].tobytes() == block[0][[i]].tobytes()
+            assert alone[1].tobytes() == block[1][[i]].tobytes()
+            assert alone[2][0] and block[2][i]
+
+    def test_failed_members_leave_neighbours_alone(self):
+        sizes = [40, 700, 999, 700, 1500, 600]
+        score = _bordered_stack(sizes, 3, seed=2)
+        n_alpha, ridge = np.array(sizes), np.zeros(6)
+        ref = _banded_steps(score, n_alpha, ridge)
+        score[3][1, 1] = 0.0  # a zero pivot
+        score[3][2, 500] = np.nan  # non-finite pivots
+        score[3][3, 301] = -np.inf
+        score[5][4], score[6][4] = 0.0, 0.0  # a singular Schur complement
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v_a, v_b, solved = _banded_steps(score, n_alpha, ridge)
+        assert solved.tolist() == [True, False, False, False, False, True]
+        for i in (0, 5):
+            assert v_a[i].tobytes() == ref[0][i].tobytes()
+            assert v_b[i].tobytes() == ref[1][i].tobytes()
 
 
 # ---------------------------------------------------------------------------
