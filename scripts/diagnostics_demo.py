@@ -4,7 +4,9 @@
 Simulates an outcome with a concave age effect, fits a straight-line model,
 and renders the two diagnostic plots: the uniform QQ plot and the smoothed
 residual-by-age plot. Then refits with the quadratic term included to show
-both plots flattening out. Writes four SVGs into the output directory.
+both plots flattening out. Writes four SVGs into the output directory, and
+exits 1 unless the uniformity test rejects the straight-line fit
+(KS p < 1e-3) and does not reject the quadratic one (KS p > 0.01).
 
 Usage: python3 scripts/diagnostics_demo.py [OUTDIR]
 """
@@ -35,9 +37,13 @@ def main(argv: list[str]) -> int:
     y = -0.30 * (age - 5.0) ** 2 + rng.normal(0, 1, n)
     col = Column.continuous("y", y)
 
-    for tag, design in [
-        ("linear", DesignMatrix(age[:, None], ("age",))),
-        ("quadratic", DesignMatrix(np.column_stack([age, age**2]), ("age", "age_sq"))),
+    code = 0
+    for tag, design, p_ok in [
+        # the misfit: the uniformity test must reject it
+        ("linear", DesignMatrix(age[:, None], ("age",)), lambda p: p < 1e-3),
+        # the refit: the test must not reject it
+        ("quadratic", DesignMatrix(np.column_stack([age, age**2]), ("age", "age_sq")),
+         lambda p: p > 0.01),
     ]:
         fit = fit_linear_normal(col, design)
         r = psr_all(fit, col, design)
@@ -54,7 +60,10 @@ def main(argv: list[str]) -> int:
             f"{tag:>9} fit: KS p = {ks.p_value:.3g}, "
             f"smooth range = {smooth_range:.3f} -> {qq_path}, {rbp_path}"
         )
-    return 0
+        if not p_ok(ks.p_value):
+            print(f"{tag} fit: unexpected KS p = {ks.p_value!r}", file=sys.stderr)
+            code = 1
+    return code
 
 
 if __name__ == "__main__":

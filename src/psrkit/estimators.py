@@ -150,10 +150,64 @@ def _ndtr(x):
     return ndtr(x)
 
 
-def _ndtri(p):
-    from scipy.special import ndtri
+# Wichura's AS241 (PPND16), Appl. Statist. 37:477-484 (1988): numerators and
+# denominators of three rational approximations, lowest power first
+_NDTRI_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3),
+)
+_NDTRI_INTERMEDIATE = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+_NDTRI_TAIL = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15),
+)
 
-    return ndtri(p)
+
+def _rational(coefs, x):
+    """num(x) / den(x) by Horner's rule, for ``coefs = (num, den)``."""
+    num, den = coefs
+    top, bottom = num[-1], den[-1]
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        top = top * x + a
+        bottom = bottom * x + b
+    return top / bottom
+
+
+def _ndtri(p):
+    """The standard normal quantile, by Wichura's AS241 (PPND16): about
+    1e-16 relative error for p in (0, 1).  -inf at 0, +inf at 1, and NaN
+    for NaN or p outside [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # r = sqrt(-log(tail probability)): inf at p = 0 or 1, NaN outside [0, 1]
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+        tail = np.where(
+            r <= 5.0,
+            _rational(_NDTRI_INTERMEDIATE, r - 1.6),
+            _rational(_NDTRI_TAIL, r - 5.0),
+        )
+        z = np.where(
+            np.abs(q) <= 0.425,
+            q * _rational(_NDTRI_CENTRAL, 0.180625 - q * q),
+            np.copysign(tail, q),
+        )
+    return np.where(r == np.inf, np.copysign(np.inf, q), z)
 
 
 def _logit_pdf_dpdf(eta):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Column, ColumnKind, DesignMatrix
-from .estimators import CUMULATIVE_LINKS, ModelFit
+from .estimators import CUMULATIVE_LINKS, ModelFit, _ndtri
 from .exceptions import InputError
 from .fitted_dist import FittedDistribution
 
@@ -190,10 +190,14 @@ def _cum_at(fit: ModelFit, pos: np.ndarray, xb: np.ndarray) -> np.ndarray:
 
 
 def normal_transform(residuals: PsrVector | np.ndarray) -> np.ndarray:
-    """Map residuals r to the normal scale via ndtri((r + 1) / 2).
+    """Map residuals r to the normal scale, the standard normal quantile of
+    (r + 1) / 2.
 
-    Residuals of exactly +-1 map to +-inf; a warning is emitted so callers
-    know to treat those entries as sentinels rather than numbers.
+    The quantile is Wichura's AS241 algorithm (PPND16) in numpy, accurate
+    to about 1e-16 relative error (within 1.1e-15 of scipy's ``ndtri``
+    for probabilities down to 1e-300).  Residuals of exactly +-1 map to
+    +-inf; a warning is emitted so callers know to treat those entries as
+    sentinels rather than numbers.
     """
     r = residuals.values if isinstance(residuals, PsrVector) else np.asarray(residuals, float)
     if np.any(np.abs(r) > 1.0):
@@ -204,6 +208,4 @@ def normal_transform(residuals: PsrVector | np.ndarray) -> np.ndarray:
             f"{n_exact} residual(s) of exactly +-1 map to infinite normal scores",
             stacklevel=2,
         )
-    from scipy.special import ndtri
-
-    return ndtri((r + 1.0) / 2.0)
+    return _ndtri((r + 1.0) / 2.0)

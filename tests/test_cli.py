@@ -213,6 +213,15 @@ class TestPsr:
         z = [p[1] for p in pairs]
         assert z == sorted(z)  # same ordering as the residuals
 
+    def test_normal_leaves_out_scipy(self, table, tmp_path):
+        args = ["psr", "--data", table, "--schema", SCHEMA,
+                "--model", "orm-logit(y ~ age)", "--normal", "--out", str(tmp_path / "p.csv")]
+        code = (
+            "import sys; from psrkit.cli import run; "
+            f"print(run({args!r}), 'scipy' in sys.modules)"
+        )
+        assert _python_stdout(code).split() == ["0", "False"]
+
     def test_censored_observed_rendering(self, table, capsys):
         run(["psr", "--data", table, "--schema", SCHEMA,
              "--model", "exp-surv(t ~ 1)"])
@@ -298,6 +307,17 @@ class TestDiag:
         for f in (qq, rbp):
             text = f.read_text()
             assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+
+    def test_ks_and_smooth_leave_out_scipy(self, table, tmp_path):
+        args = ["diag", "--data", table, "--schema", SCHEMA,
+                "--fit-spec", "orm-logit(y ~ age)",
+                "--qq", str(tmp_path / "qq.svg"), "--rbp", f"age={tmp_path / 'age.svg'}"]
+        code = (
+            "import sys; from psrkit.cli import run; "
+            f"print(run({args!r}), 'scipy' in sys.modules)"
+        )
+        # the JSON summary comes first
+        assert _python_stdout(code).splitlines()[-1].split() == ["0", "False"]
 
     def test_csv_artifacts(self, table, tmp_path, capsys):
         qq, rbp = tmp_path / "qq.csv", tmp_path / "age.csv"

@@ -1,7 +1,9 @@
 """Diagnostics: uniformity checks, robust smoothing, SVG rendering."""
+import warnings
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from psrkit import diagnostics
 from psrkit.data_model import Column
@@ -91,6 +93,27 @@ class TestKsUniform:
         with pytest.warns(UserWarning, match="discrete"):
             res = ks_uniform(psr_all(fit, y, DesignMatrix(x[:, None], ("x",))))
         assert res.p_value > 0.01
+
+
+class TestKolmogorovSf:
+    def test_matches_scipy(self):
+        # both sides of the switch between the two series at 0.82
+        x = np.concatenate([
+            np.linspace(0.0, 8.0, 8001),
+            [np.nextafter(0.82, 0.0), 0.82, np.nextafter(0.82, 1.0)],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([diagnostics._kolmogorov_sf(float(v)) for v in x])
+        assert np.max(np.abs(got - special.kolmogorov(x))) <= 1e-14
+
+    def test_limits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert diagnostics._kolmogorov_sf(0.0) == 1.0
+            assert diagnostics._kolmogorov_sf(-1.0) == 1.0
+            assert diagnostics._kolmogorov_sf(1e-300) == 1.0
+            assert diagnostics._kolmogorov_sf(30.0) == 0.0
 
 
 class TestLowess:
@@ -314,6 +337,24 @@ class TestLowessMatchesLoop:
         x = rng.uniform(-2, 2, n)
         y = np.clip(x**2 + rng.standard_t(2, n) * 0.3, -10.0, 10.0)
         self._agree(x, y, 2.0 / 3.0, 3)
+
+
+class TestLowessCutoffs:
+    @pytest.mark.parametrize("n", [2, 3, 50, 3000])
+    def test_equal_to_partition(self, n):
+        # x rounded to one decimal: many ties; and a 0.0 sorted ahead of a
+        # -0.0, which differ by -0.0 where |x_j - x_i| is 0.0
+        rng = np.random.default_rng(n)
+        x = np.round(rng.normal(0.0, 1.0, n), 1)
+        x[:2] = [0.0, -0.0]
+        xs = np.sort(x, kind="stable")
+        for r in sorted({2, int(np.ceil(2.0 * n / 3.0)), n}):
+            want = np.concatenate([
+                np.partition(np.abs(xs - xs[b : b + 500, None]), r - 1, axis=1)[:, r - 1]
+                for b in range(0, n, 500)
+            ])
+            got = diagnostics._lowess_cutoffs(xs, r)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestResidualByPredictor:

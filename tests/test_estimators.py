@@ -22,6 +22,7 @@ from psrkit.estimators import (
     _clm_score,
     _expit,
     _logit,
+    _ndtri,
     fit_cumulative_link,
     fit_cumulative_link_batch,
     fit_empirical,
@@ -102,7 +103,7 @@ def clm_loglik(alpha, beta, y_values, X, link):
 
 
 # ---------------------------------------------------------------------------
-# the logit link's numpy functions, against scipy.special
+# the numpy link functions, against scipy.special
 # ---------------------------------------------------------------------------
 
 
@@ -152,6 +153,34 @@ class TestLogitFunctions:
             assert _expit(-800.0) == 0.0 and _expit(800.0) == 1.0
             assert _logit(np.array([0.0, 0.5, 1.0])).tolist() == [-np.inf, 0.0, np.inf]
             assert _logit(0.0) == -np.inf and _logit(1.0) == np.inf
+
+
+class TestNdtri:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(19)
+        # where AS241 switches between its three approximations,
+        # |p - 1/2| = 0.425 and sqrt(-log min(p, 1 - p)) = 5
+        edges = np.array([0.075, 0.925, np.exp(-25.0), -np.expm1(-25.0)])
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, 100000),
+            10.0 ** rng.uniform(-300.0, 0.0, 50000),
+            1.0 - 10.0 ** -np.arange(1.0, 17.0),
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.5],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _ndtri(p)
+        want = special.ndtri(p)
+        zero = want == 0.0
+        assert np.array_equal(got[zero], want[zero])
+        assert np.max(np.abs(got[~zero] - want[~zero]) / np.abs(want[~zero])) <= 4e-15
+
+    def test_limits_and_invalid_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _ndtri(np.array([0.0, 1.0, np.nan, -0.1, 1.1]))
+        assert got[0] == -np.inf and got[1] == np.inf
+        assert np.isnan(got[2:]).all()
 
 
 # ---------------------------------------------------------------------------
