@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Predictor scans that must not depend on the number of worker processes.
+"""Predictor scans and a bootstrap that must not depend on the number of
+worker processes.
 
 Writes a small seeded table and two predictor panels, each spanning several
 blocks of predictors. The genotype-like panel has missing cells, a
@@ -8,8 +9,10 @@ predictor that sex separates. The continuous panel has missing cells and
 about 118 distinct values per predictor, so its `orm-logit` x-margins take
 the banded Newton solve (more than 32 unknowns) in the worker processes.
 Runs `python -m psrkit.cli scan` on each panel with `--threads 1` and
-`--threads 2`, exits 1 unless each pair of outputs is byte-identical, and
-prints the count of each status.
+`--threads 2`, and prints the count of each status. Then writes a 400-row
+table and runs `python -m psrkit.cli pcor` with `orm-logit` margins and
+`--boot 300`, whose replicates are refitted in 4 blocks, at `--threads 1`
+and `--threads 2`. Exits 1 unless each pair of outputs is byte-identical.
 
 Usage: python3 scripts/scan_demo.py [OUTDIR]
 """
@@ -24,6 +27,7 @@ import numpy as np
 N_ROWS = 120
 N_PREDICTORS = 150
 N_CONTINUOUS = 130
+N_PCOR = 400
 
 
 def _write(path: pathlib.Path, columns: dict) -> None:
@@ -57,6 +61,11 @@ def write_inputs(outdir: pathlib.Path) -> None:
         x[rng.random(N_ROWS) < 0.02] = np.nan
         continuous[f"x{j:03d}"] = x
     _write(outdir / "continuous.csv", continuous)
+    age = rng.uniform(20.0, 80.0, N_PCOR)
+    sex = rng.integers(0, 2, N_PCOR).astype(float)
+    x = 0.03 * age + 0.5 * sex + rng.normal(size=N_PCOR)
+    grade = np.digitize(0.4 * x + 0.5 * sex + rng.normal(size=N_PCOR), [-0.5, 0.5, 1.5, 2.5])
+    _write(outdir / "pcor.csv", {"x": x, "grade": grade, "age": age, "sex": sex})
 
 
 def scan(outdir: pathlib.Path, panel: str, threads: int) -> bytes:
@@ -70,6 +79,23 @@ def scan(outdir: pathlib.Path, panel: str, threads: int) -> bytes:
             "--predictors", str(outdir / f"{panel}.csv"),
             "--x-model", "orm-logit",
             "--perm", "99", "--seed", "11",
+            "--threads", str(threads), "--out", str(out),
+        ],
+        check=True,
+    )
+    return out.read_bytes()
+
+
+def pcor(outdir: pathlib.Path, threads: int) -> bytes:
+    out = outdir / f"pcor_{threads}.csv"
+    subprocess.run(
+        [
+            sys.executable, "-m", "psrkit.cli", "pcor",
+            "--data", str(outdir / "pcor.csv"),
+            "--schema", "x:continuous,grade:continuous,age:continuous,sex:binary",
+            "--x", "x", "--y", "grade", "--z", "age,sex",
+            "--x-model", "orm-logit", "--y-model", "orm-logit",
+            "--boot", "300", "--perm", "99", "--seed", "11",
             "--threads", str(threads), "--out", str(out),
         ],
         check=True,
@@ -95,6 +121,15 @@ def main(argv: list[str]) -> int:
             code = 1
         else:
             print(f"{panel}: --threads 1 and --threads 2 outputs are byte-identical")
+    one, two = pcor(outdir, 1), pcor(outdir, 2)
+    row = next(csv.DictReader(one.decode("utf-8").splitlines()))
+    fields = ("estimate", "ci_low", "ci_high", "notes")
+    print("pcor: " + ", ".join(f"{k}: {row[k]}" for k in fields))
+    if one != two:
+        print("pcor: output differs between --threads 1 and --threads 2", file=sys.stderr)
+        code = 1
+    else:
+        print("pcor: --threads 1 and --threads 2 outputs are byte-identical")
     return code
 
 

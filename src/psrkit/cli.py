@@ -9,7 +9,7 @@ Exit codes: 0 on success, 1 on user error (bad flags, malformed input,
 schema mismatch), 2 on numerical failure (non-convergence, degenerate
 fits).  All randomness flows from ``--seed`` through named substreams, and
 every output is written with fixed formatting, so identical inputs and
-arguments produce byte-identical files.
+arguments produce byte-identical files, whatever ``--threads`` is.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -65,12 +66,22 @@ def _require_seed(seed: int | None, resampling: bool) -> None:
 
 
 def _check_draws(args) -> None:
-    """Reject draw counts that give no p-value or interval, before any file is read."""
+    """Reject draw counts that give no p-value or interval, and fewer than one
+    worker process, before any file is read."""
     if args.perm < 0:
         raise InputError("--perm must be >= 0")
     boot = getattr(args, "boot", 0)
     if boot < 0 or boot == 1:
         raise InputError("--boot must be 0 or at least 2")
+    if args.threads < 1:
+        raise InputError("--threads must be >= 1")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +370,7 @@ def _cmd_pcor(args) -> int:
     res = partial_spearman(
         cx, cy, Z,
         x_model=x_model, y_model=y_model,
-        n_boot=args.boot, n_perm=args.perm, seed=args.seed,
+        n_boot=args.boot, n_perm=args.perm, seed=args.seed, workers=args.threads,
     )
     _write_text(args.out, _assoc_csv(res, args.x, args.y, x_model, y_model))
     return 0
@@ -383,8 +394,6 @@ def _load_predictors(path: str, n_expected: int, kept: np.ndarray) -> list[Colum
 
 
 def _cmd_scan(args) -> int:
-    if args.threads < 1:
-        raise InputError("--threads must be >= 1")
     _check_draws(args)
     _require_seed(args.seed, args.perm > 0)
     zterms = parse_term_list(args.z)
@@ -458,6 +467,7 @@ def build_parser() -> _Parser:
         description="Probability-scale residuals: fits, diagnostics, rank association.",
     )
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
+    threads = _usable_cpus()
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
     p_fit = sub.add_parser("fit", help="fit a model and print a JSON summary")
@@ -507,6 +517,9 @@ def build_parser() -> _Parser:
                         help="bootstrap replicates for the CI (0 disables)")
     p_pcor.add_argument("--perm", type=int, default=1000, metavar="B",
                         help="permutation draws for the p-value (0 disables)")
+    p_pcor.add_argument("--threads", type=int, default=threads, metavar="N",
+                        help="worker processes for the bootstrap refits "
+                             "(default: the usable CPUs); outputs do not depend on it")
     p_pcor.add_argument("--seed", type=int, help="RNG seed (required when resampling)")
     p_pcor.add_argument("--matrix", action="store_true",
                         help="emit a correlation matrix over --cols instead of one pair")
@@ -528,7 +541,9 @@ def build_parser() -> _Parser:
                         help="margin model for the outcome")
     p_scan.add_argument("--perm", type=int, default=1000, metavar="B",
                         help="permutation draws per predictor (0 disables)")
-    p_scan.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_scan.add_argument("--threads", type=int, default=threads, metavar="N",
+                        help="worker processes (default: the usable CPUs); "
+                             "outputs do not depend on it")
     p_scan.add_argument("--seed", type=int, help="RNG seed (required when resampling)")
     p_scan.add_argument("--out", help="output CSV path (default stdout)")
     p_scan.set_defaults(func=_cmd_scan)

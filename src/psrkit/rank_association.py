@@ -17,6 +17,7 @@ do not depend on evaluation order or worker scheduling.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -313,6 +314,34 @@ def _perm_pvalue(u, v, observed, n_perm, rng, stat):
     return (1 + hits) / (n_perm + 1)
 
 
+def _pool_map(task, items, n_items: int, workers: int) -> list:
+    """``[task(item) for item in items]``, the ``n_items`` items taken in order.
+
+    Serial for one worker or one item.  Otherwise ``min(workers, n_items)``
+    worker processes take the items, with at most 2 x that many submitted
+    and not yet collected, so a lazy ``items`` is drawn no faster than the
+    pool works through it.  Results are collected in item order, so the
+    results, and the first error in item order, are the serial ones.
+    """
+    if workers <= 1 or n_items <= 1:
+        return list(map(task, items))
+    workers = min(workers, n_items)
+    out: list = []
+    pending: deque = deque()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            for item in items:
+                if len(pending) == 2 * workers:
+                    out.append(pending.popleft().result())
+                pending.append(pool.submit(task, item))
+            while pending:
+                out.append(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
+    return out
+
+
 #: replicate x row cells in one block of bootstrap replicates, whose margins
 #: are refitted together (16 replicates at n = 2000)
 _BOOT_BLOCK_CELLS = 1 << 15
@@ -320,45 +349,63 @@ _BOOT_BLOCK_CELLS = 1 << 15
 _CAPPED = "coefficients capped"
 
 
-def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat):
+def _boot_block(idxs, x, y, Z, x_model, y_model, stat) -> list[tuple[object, bool]]:
+    """``(statistic or None, capped)`` for each bootstrap replicate of a
+    block, replicate k taking rows ``idxs[k]``.
+
+    The block's replicates are refitted together, one margin at a time, and
+    then taken in order: a replicate whose refit or residuals raise a
+    :class:`NumericError` gets None, any other error propagates, and a
+    replicate counts as capped when a refit made before that point capped.
+    """
+    x_margin, y_margin = _MARGINS[x_model], _MARGINS[y_model]
+    with warnings.catch_warnings():
+        # a refit's notes carry its separation into the capped count
+        warnings.filterwarnings("ignore", ".*complete separation suspected")
+        x_fits = x_margin.fit_replicates(x, Z, idxs)
+        y_fits = y_margin.fit_replicates(y, Z, idxs)
+    out = []
+    for idx, x_fit, y_fit in zip(idxs, x_fits, y_fits):
+        zb = Z.take(idx) if Z is not None else None
+        was_capped = False
+        draw = None
+        try:
+            psr = []
+            for margin, col, fit in ((x_margin, x, x_fit), (y_margin, y, y_fit)):
+                if isinstance(fit, PsrKitError):
+                    raise fit
+                was_capped |= any(_CAPPED in note for note in fit.notes)
+                psr.append(margin.residuals(fit, col.take(idx), zb).values)
+            draw = stat(*psr, idx)
+        except NumericError:
+            pass
+        out.append((draw, was_capped))
+    return out
+
+
+def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat, workers):
     """Percentile interval per output from a pairs bootstrap that refits both
     margins, the number of replicates that failed and the number whose
     refits capped coefficients for separation.
 
-    Replicate b draws its rows from ``rng`` in turn.  The replicates of a
-    block are refitted together, one margin at a time, and then taken in
-    order: a replicate whose refit or residuals raise a
-    :class:`NumericError` is dropped, any other error propagates, and a
-    replicate counts as capped when a refit made before that point capped.
+    Replicate b draws its rows from ``rng`` in turn, in this process, and
+    the replicates are refitted in fixed blocks (:func:`_boot_block`), which
+    ``workers`` processes share out.  Failures and caps are tallied in
+    replicate order, so the result does not depend on ``workers``.
     """
     n = x.n
     if Z is not None and Z.p == 0:
         Z = None
-    x_margin, y_margin = _MARGINS[x_model], _MARGINS[y_model]
     block = max(1, _BOOT_BLOCK_CELLS // n)
-    draws = []
-    capped = 0
-    for start in range(0, n_boot, block):
-        idxs = [rng.integers(0, n, size=n) for _ in range(min(block, n_boot - start))]
-        with warnings.catch_warnings():
-            # a refit's notes carry its separation into the capped count
-            warnings.filterwarnings("ignore", ".*complete separation suspected")
-            x_fits = x_margin.fit_replicates(x, Z, idxs)
-            y_fits = y_margin.fit_replicates(y, Z, idxs)
-        for idx, x_fit, y_fit in zip(idxs, x_fits, y_fits):
-            zb = Z.take(idx) if Z is not None else None
-            was_capped = False
-            try:
-                psr = []
-                for margin, col, fit in ((x_margin, x, x_fit), (y_margin, y, y_fit)):
-                    if isinstance(fit, PsrKitError):
-                        raise fit
-                    was_capped |= any(_CAPPED in note for note in fit.notes)
-                    psr.append(margin.residuals(fit, col.take(idx), zb).values)
-                draws.append(stat(*psr, idx))
-            except NumericError:
-                pass
-            capped += was_capped
+    starts = range(0, n_boot, block)
+    blocks = (
+        [rng.integers(0, n, size=n) for _ in range(min(block, n_boot - start))]
+        for start in starts
+    )
+    task = partial(_boot_block, x=x, y=y, Z=Z, x_model=x_model, y_model=y_model, stat=stat)
+    replicates = [r for rows in _pool_map(task, blocks, len(starts), workers) for r in rows]
+    draws = [draw for draw, _ in replicates if draw is not None]
+    capped = sum(was_capped for _, was_capped in replicates)
     if len(draws) < max(2, n_boot // 2):
         raise NumericError(f"bootstrap failed: only {len(draws)} of {n_boot} replicates usable")
     lo, hi = np.nanpercentile(np.array(draws), [2.5, 97.5], axis=0).reshape(2, -1)
@@ -375,9 +422,10 @@ def _check_draws(n_boot: int = 0, n_perm: int = 0) -> None:
 
 
 def _resampled_results(
-    x, y, Z, x_model, y_model, *, stat, method, n_boot, n_perm, seed, tags=()
+    x, y, Z, x_model, y_model, *, stat, method, n_boot, n_perm, seed, tags=(), workers=1
 ) -> list[AssocResult]:
-    """One result per output of ``stat``; ``tags`` prefix the substream tags."""
+    """One result per output of ``stat``; ``tags`` prefix the substream tags,
+    and ``workers`` processes share out the bootstrap's blocks."""
     _check_draws(n_boot, n_perm)
     u = margin_psr(x, Z, x_model).values
     v = margin_psr(y, Z, y_model).values
@@ -389,7 +437,7 @@ def _resampled_results(
     if n_boot:
         rng = _substream(seed, *tags, _TAG_BOOT)
         ci_low, ci_high, failures, capped = _bootstrap_ci(
-            x, y, Z, x_model, y_model, n_boot, rng, stat
+            x, y, Z, x_model, y_model, n_boot, rng, stat, workers
         )
         info.append(ResamplingInfo("bootstrap", n_boot, seed))
         if failures:
@@ -453,12 +501,14 @@ def partial_spearman(
     n_boot: int = 1000,
     n_perm: int = 1000,
     seed: int | None = None,
+    workers: int = 1,
 ) -> AssocResult:
     """Covariate-adjusted Spearman: correlation of residuals from x|Z and y|Z.
 
     Margins default to cumulative-link (logit) fits, or to the marginal
     empirical CDF when Z is empty, in which case the estimate coincides with
-    :func:`spearman`.
+    :func:`spearman`.  ``workers`` processes share out the bootstrap's
+    blocks of replicates; the result is the same at every worker count.
     """
     _check_pair(x, y)
     if Z is not None and Z.n != x.n:
@@ -468,7 +518,7 @@ def partial_spearman(
         x_model or default_margin_model(x, Z),
         y_model or default_margin_model(y, Z),
         stat=_pearson, method="partial_spearman",
-        n_boot=n_boot, n_perm=n_perm, seed=seed,
+        n_boot=n_boot, n_perm=n_perm, seed=seed, workers=workers,
     )[0]
 
 
@@ -758,11 +808,9 @@ def batch_partial_spearman(
         (start, list(predictors[start : start + _SCAN_BLOCK]))
         for start in range(0, len(predictors), _SCAN_BLOCK)
     ]
-    if config.workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(blocks))) as pool:
-            results = [row for rows in pool.map(task, blocks) for row in rows]
-    else:
-        results = [row for rows in map(task, blocks) for row in rows]
+    results = [
+        row for rows in _pool_map(task, blocks, len(blocks), config.workers) for row in rows
+    ]
 
     ok = [r for r in results if r.status == "ok"]
     rest = [r for r in results if r.status != "ok"]

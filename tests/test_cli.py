@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from psrkit.cli import run
+from psrkit import rank_association as ra
+from psrkit.cli import build_parser, run
+from psrkit.exceptions import InputError
 from psrkit.data_model import load_csv, parse_schema
 from psrkit.fitted_dist import (
     DiscreteSupport,
@@ -441,9 +443,11 @@ class TestPcor:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--perm", "-5"], ["--boot", "-1"], ["--boot", "1"],
-         ["--matrix", "--cols", "a,b", "--perm", "-5"]],
-        ids=["perm-negative", "boot-negative", "boot-one", "matrix-perm-negative"],
+        [["--perm", "-5"], ["--boot", "-1"], ["--boot", "1"], ["--threads", "0"],
+         ["--matrix", "--cols", "a,b", "--perm", "-5"],
+         ["--matrix", "--cols", "a,b", "--threads", "0"]],
+        ids=["perm-negative", "boot-negative", "boot-one", "threads-zero",
+             "matrix-perm-negative", "matrix-threads-zero"],
     )
     def test_bad_draw_counts_rejected_before_reading(self, tmp_path, capsys, flags):
         absent = str(tmp_path / "absent.csv")
@@ -454,6 +458,46 @@ class TestPcor:
         assert code == 1
         err = capsys.readouterr().err
         assert flags[-2] in err and "absent" not in err
+
+    @pytest.mark.parametrize("sub", ["pcor", "scan"])
+    def test_threads_default_is_the_usable_cpus(self, sub):
+        args = build_parser().parse_args(
+            [sub, "--data", "d.csv", "--schema", SCHEMA, "--y", "y", "--predictors", "p.csv"]
+            if sub == "scan" else [sub, "--data", "d.csv", "--schema", SCHEMA]
+        )
+        assert args.threads == len(os.sched_getaffinity(0))
+
+    def _pcor_blocks(self, table, monkeypatch, tmp_path, threads):
+        """Exit code and output bytes (None if not written) of a 20-replicate
+        pcor bootstrap in blocks of at most 7 replicates; no flag for None."""
+        monkeypatch.setattr(ra, "_BOOT_BLOCK_CELLS", 7 * 38)
+        out = tmp_path / f"p{threads}.csv"
+        flags = [] if threads is None else ["--threads", str(threads)]
+        code = run(
+            ["pcor", "--data", table, "--schema", SCHEMA, "--x", "age", "--y", "y",
+             "--z", "sex", "--boot", "20", "--perm", "20", "--seed", "7",
+             "--out", str(out)] + flags
+        )
+        return code, out.read_bytes() if out.exists() else None
+
+    def test_output_bytes_do_not_depend_on_threads(self, table, monkeypatch, tmp_path):
+        outputs = {t: self._pcor_blocks(table, monkeypatch, tmp_path, t) for t in (1, 2, None)}
+        assert outputs[1][0] == 0 and outputs[1][1]
+        assert outputs[2] == outputs[1] and outputs[None] == outputs[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_worker_input_error_exits_1(self, table, monkeypatch, tmp_path, capsys, threads):
+        real = ra._MarginModel.fit_replicates
+
+        def flaky(self, col, Z, idxs):
+            # fails by replicate content, so every worker count fails the same ones
+            fits = real(self, col, Z, idxs)
+            return [InputError("injected") if idx.sum() % 5 == 0 else f
+                    for idx, f in zip(idxs, fits)]
+
+        monkeypatch.setattr(ra._MarginModel, "fit_replicates", flaky)
+        assert self._pcor_blocks(table, monkeypatch, tmp_path, threads) == (1, None)
+        assert capsys.readouterr().err == "psr-kit: error: injected\n"
 
     def test_matrix_needs_cols(self, table, capsys):
         code = run(

@@ -1,6 +1,7 @@
 """Rank association: bridges to classical Spearman, resampling, batch scan."""
 import copy
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -315,6 +316,37 @@ def _fail_x_refits(monkeypatch, failing):
     monkeypatch.setattr(ra._MarginModel, "fit_replicates", flaky)
 
 
+def _fail_x_refits_by_rows(monkeypatch, error):
+    """Make the x refit of each bootstrap replicate whose row indices sum to
+    a multiple of 5 an ``error("injected refit failure")``.  The choice
+    depends on the replicate alone, so worker processes make the same one."""
+    real = ra._MarginModel.fit_replicates
+
+    def flaky(self, col, Z, idxs):
+        fits = real(self, col, Z, idxs)
+        if col.name != "x":
+            return fits
+        return [
+            error("injected refit failure") if int(idx.sum()) % 5 == 0 else fit
+            for idx, fit in zip(idxs, fits)
+        ]
+
+    monkeypatch.setattr(ra._MarginModel, "fit_replicates", flaky)
+
+
+def _spy_pools(monkeypatch):
+    """The ``max_workers`` of each process pool the module starts."""
+    pools = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(ra, "ProcessPoolExecutor", Spy)
+    return pools
+
+
 def _separable_columns():
     """x = 1[z > 0] but for the row with the largest z: resamples that leave
     that row out are completely separated."""
@@ -470,6 +502,42 @@ class TestStackedBootstrap:
         assert abs(blocked.ci_low - whole.ci_low) <= 1e-12
         assert abs(blocked.ci_high - whole.ci_high) <= 1e-12
         assert blocked.notes == whole.notes
+
+    @pytest.mark.parametrize("data", ["continuous", "separable"])
+    def test_worker_processes_give_the_serial_result(self, monkeypatch, data):
+        if data == "continuous":
+            cx, cy, cz = _curve_columns()
+            x, y, Z = cx, cy, DesignMatrix(cz.values[:, None], ("z",))
+        else:
+            x, y, Z = _separable_columns()
+        _fail_x_refits_by_rows(monkeypatch, NumericError)
+        # blocks of 7, 7 and 6 replicates
+        monkeypatch.setattr(ra, "_BOOT_BLOCK_CELLS", 7 * x.n)
+
+        def run(workers):
+            return partial_spearman(
+                x, y, Z, x_model="orm-logit", y_model="orm-logit",
+                n_boot=20, n_perm=0, seed=3, workers=workers,
+            )
+
+        serial = run(1)
+        pools = _spy_pools(monkeypatch)
+        assert run(2) == serial
+        assert run(5) == serial
+        assert pools == [2, 3]
+        assert serial.notes[0].endswith("bootstrap replicates failed and were dropped")
+        if data == "separable":
+            assert serial.notes[1].endswith("bootstrap replicates capped coefficients")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_errors_propagate_from_workers(self, monkeypatch, workers):
+        x, y, Z = _separable_columns()
+        _fail_x_refits_by_rows(monkeypatch, InputError)
+        monkeypatch.setattr(ra, "_BOOT_BLOCK_CELLS", 7 * x.n)
+        pools = _spy_pools(monkeypatch)
+        with pytest.raises(InputError, match="injected refit failure"):
+            partial_spearman(x, y, Z, n_boot=20, n_perm=0, seed=3, workers=workers)
+        assert pools == ([2] if workers == 2 else [])
 
 
 def _loop_pvalue(u, v, observed, n_perm, rng, stat):
