@@ -6,8 +6,8 @@ Writes a small seeded table and two predictor panels, each spanning several
 blocks of predictors. The genotype-like panel has missing cells, a
 predictor with a level seen in a single row, a constant predictor and a
 predictor that sex separates. The continuous panel has missing cells and
-about 118 distinct values per predictor, so its `orm-logit` x-margins take
-the banded Newton solve (more than 32 unknowns) in the worker processes.
+about 118 distinct values per predictor, so its `orm-logit` x-margins have
+over a hundred cut points each, fitted in the worker processes.
 Runs `python -m psrkit.cli scan` on each panel with `--threads 1` and
 `--threads 2`, and prints the count of each status. Then writes a 400-row
 table and runs `python -m psrkit.cli pcor` with `orm-logit` margins and

@@ -33,21 +33,18 @@ cap, so a member's fit is, up to rounding, the fit of its rows alone (each
 repeated by its weight); :func:`fit_cumulative_link` is the stack of one
 and :func:`fit_cumulative_link_batch` fits many outcomes or weightings at
 once.  The alpha block of each member's Hessian is tridiagonal because each
-observation couples only its own two adjacent cut points.  The linear solve
-is the only step whose method depends on shape: a member with at most
-``_DENSE_MAX_K`` unknowns (J - 1 + p) is solved as a dense system, stacked
-with the other small members in one ``np.linalg.solve``.  The larger members
-are solved together, in numpy, through the tridiagonal structure: one
-odd-even cyclic reduction over the stack carries the right-hand sides
-[g_alpha, h_alpha_beta] along, and each member then solves its p x p Schur
-complement, so one iteration costs O(J p + n p + p^3) even when every
-outcome value is distinct.  Cyclic reduction is Gaussian elimination on the
-odd-even permutation of the alpha block and takes its pivots from the
-diagonal without row exchanges.  That is stable because every link offered
-has a log-concave density, which makes the alpha block less its ridge
-negative definite, and elimination without pivoting is stable for a
-definite matrix.  A zero or non-finite pivot marks the member's step as
-failed, and the member retries with a ridge.
+observation couples only its own two adjacent cut points, and every
+member's Newton system, whatever its size, is solved through that
+structure, all members together, in numpy: one odd-even cyclic reduction
+over the stack carries the right-hand sides [g_alpha, h_alpha_beta] along,
+and each member then solves its p x p Schur complement, so one iteration
+costs O(J p + n p + p^3) even when every outcome value is distinct.  Cyclic
+reduction is Gaussian elimination on the odd-even permutation of the alpha
+block and takes its pivots from the diagonal without row exchanges.  That is
+stable because every link offered has a log-concave density, which makes the
+alpha block less its ridge negative definite, and elimination without
+pivoting is stable for a definite matrix.  A zero or non-finite pivot marks
+the member's step as failed, and the member retries with a ridge.
 
 Every Newton fit stops on the Newton decrement |g' M^{-1} g| (M the Hessian
 or information matrix), not on the size of the score: once it is at most
@@ -547,7 +544,7 @@ def _substitute(D, x, levels):
 
 
 def _banded_steps(score, n_alpha, ridge):
-    """Newton steps of members with many unknowns, as one batched solve of
+    """Each member's Newton step (v_alpha, v_beta), as one batched solve of
     the bordered systems [[M, h_ab], [h_ab', h_bb]] v = g less each
     member's ridge, M tridiagonal.
 
@@ -562,7 +559,7 @@ def _banded_steps(score, n_alpha, ridge):
     of M on which cyclic reduction is Gaussian elimination; elimination
     without pivoting is stable for a definite matrix.  A zero or non-finite
     pivot, a singular Schur complement or a non-finite step marks that
-    member unsolved, as the dense path does.
+    member unsolved.
     """
     _, g_a, g_b, h_d, h_o, h_ab, h_bb = score[:7]
     m, p = g_b.shape
@@ -610,67 +607,12 @@ def _banded_steps(score, n_alpha, ridge):
     return v_a, v_b, solved
 
 
-#: a member with at most this many unknowns (J - 1 + p) is solved as a dense
-#: system, stacked with the other such members in one ``np.linalg.solve``;
-#: a larger one by the banded bordered solve, O(J p + p^3)
-_DENSE_MAX_K = 32
-
-
-def _dense_steps(score, n_alpha, ridge):
-    """Newton steps of members with few unknowns, as one stacked dense solve."""
-    _, g_a, g_b, h_d, h_o, h_ab, h_bb = score[:7]
-    m, p = g_b.shape
-    w = int(n_alpha.max())
-    d = np.arange(w)
-    e = np.arange(w, w + p)
-    H = np.zeros((m, w + p, w + p))
-    # an intercept column past a member's own cut points solves to 0
-    H[:, d, d] = np.where(d < n_alpha[:, None], h_d[:, :w] - ridge[:, None], -1.0)
-    H[:, d[1:], d[:-1]] = H[:, d[:-1], d[1:]] = h_o[:, : w - 1]
-    H[:, :w, w:] = h_ab[:, :w]
-    H[:, w:, :w] = h_ab[:, :w].transpose(0, 2, 1)
-    H[:, w:, w:] = h_bb
-    H[:, e, e] -= ridge[:, None]
-    rhs = np.concatenate([g_a[:, :w], g_b], axis=1)
-    ok = np.ones(m, dtype=bool)
-    try:
-        sol = np.linalg.solve(H, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # one singular member fails the stacked call: solve one at a time
-        sol = np.zeros_like(rhs)
-        for j in range(m):
-            try:
-                sol[j] = np.linalg.solve(H[j], rhs[j])
-            except np.linalg.LinAlgError:
-                ok[j] = False
-    v_a = np.zeros_like(g_a)
-    v_a[:, :w] = sol[:, :w]
-    return v_a, sol[:, w:], ok & np.all(np.isfinite(sol), axis=1)
-
-
-def _newton_steps(score, n_alpha, ridge):
-    """Each member's Newton step (v_alpha, v_beta) for the system less its
-    ridge, and whether that member's solve gave a finite step."""
-    g_a, g_b = score[1], score[2]
-    banded = n_alpha + g_b.shape[1] > _DENSE_MAX_K
-    if not banded.any():
-        return _dense_steps(score, n_alpha, ridge)
-    if banded.all():
-        return _banded_steps(score, n_alpha, ridge)
-    steps = np.zeros_like(g_a), np.zeros_like(g_b), np.zeros(n_alpha.size, dtype=bool)
-    for solve, members in ((_dense_steps, ~banded), (_banded_steps, banded)):
-        i = np.flatnonzero(members)
-        v_a, v_b, solved = solve([s[i] for s in score], n_alpha[i], ridge[i])
-        steps[0][i], steps[1][i], steps[2][i] = v_a, v_b, solved
-    return steps
-
-
 def _ridged_steps(score, n_alpha):
     """Newton steps with the smallest ridge (0, then 1e-8 times the largest
     |h_diag| + 1, growing tenfold, 12 tries) that gives each member a finite
     step; returns ``(v_alpha, v_beta, ridge, solved)``."""
     ridge = np.zeros(n_alpha.size)
-    v_a, v_b, solved = _newton_steps(score, n_alpha, ridge)
+    v_a, v_b, solved = _banded_steps(score, n_alpha, ridge)
     if solved.all():
         return v_a, v_b, ridge, solved
     scale = np.max(np.abs(score[3]), axis=1) + 1.0
@@ -678,7 +620,7 @@ def _ridged_steps(score, n_alpha):
         need = ~solved
         ridge[need] = np.maximum(ridge[need] * 10.0, 1e-8 * scale[need])
         tried = np.flatnonzero(need)
-        va, vb, ok = _newton_steps([s[tried] for s in score], n_alpha[tried], ridge[tried])
+        va, vb, ok = _banded_steps([s[tried] for s in score], n_alpha[tried], ridge[tried])
         v_a[tried[ok]], v_b[tried[ok]] = va[ok], vb[ok]
         solved[tried[ok]] = True
         if solved.all():

@@ -412,9 +412,12 @@ def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat, workers):
     return lo.tolist(), hi.tolist(), n_boot - len(draws), capped
 
 
-def _check_draws(n_boot: int = 0, n_perm: int = 0) -> None:
-    """Reject draw counts that give no p-value or interval: a negative count,
-    or one bootstrap replicate, which can never leave 2 usable."""
+def _check_draws(n_boot: int = 0, n_perm: int = 0, workers: int = 1) -> None:
+    """Reject draw counts that give no p-value or interval (a negative count,
+    or one bootstrap replicate, which can never leave 2 usable) and a worker
+    count below 1."""
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
     if n_perm < 0:
         raise InputError(f"n_perm must be >= 0, got {n_perm}")
     if n_boot < 0 or n_boot == 1:
@@ -426,7 +429,7 @@ def _resampled_results(
 ) -> list[AssocResult]:
     """One result per output of ``stat``; ``tags`` prefix the substream tags,
     and ``workers`` processes share out the bootstrap's blocks."""
-    _check_draws(n_boot, n_perm)
+    _check_draws(n_boot, n_perm, workers)
     u = margin_psr(x, Z, x_model).values
     v = margin_psr(y, Z, y_model).values
     observed = stat(u, v, None)
@@ -782,7 +785,7 @@ def batch_partial_spearman(
     breaking ties; with ``n_perm`` = 0 no draw is made, every p-value is NaN
     and the ranking is by |estimate|.
     """
-    _check_draws(n_perm=config.n_perm)
+    _check_draws(n_perm=config.n_perm, workers=config.workers)
     if config.n_perm and config.seed is None:
         raise InputError("a seed is required whenever resampling is requested")
     if config.x_model not in _MARGINS:

@@ -576,8 +576,8 @@ class TestScan:
         assert sum(r[5] == "ok" for r in rows) > 100
 
     def test_genotype_scan_leaves_out_scipy(self, table, tmp_path):
-        # a scan of genotype predictors (few levels: dense x-fits, logit
-        # link) and a linear-empirical outcome needs nothing from scipy
+        # a scan of genotype predictors (few levels, logit link) and a
+        # linear-empirical outcome needs nothing from scipy
         rng = np.random.default_rng(80)
         cols = {f"g{j}": rng.binomial(2, 0.4, 40).astype(float).tolist() for j in range(4)}
         cols["g0"][2] = None

@@ -399,11 +399,12 @@ class TestResamplingEngine:
         # values captured with the stacked Newton loop on (alpha, beta),
         # upper-tail probabilities from the survival function and bootstrap
         # refits as weighted members of one stacked fit, the numpy logit
-        # link and the numpy cyclic-reduction banded solve, same seed
+        # link and the numpy cyclic-reduction banded solve, same seed; ci_low
+        # recaptured once every member, whatever its size, took that solve
         z, r = curve[3]
         assert z == 0.5012730521944495
         assert r.estimate == 0.543464371626495
-        assert (r.ci_low, r.ci_high) == (0.3155651232032077, 0.7076936012595837)
+        assert (r.ci_low, r.ci_high) == (0.31556512320320784, 0.7076936012595837)
         assert r.p_value == 0.025
         assert curve[2][1].p_value == 0.625
 
@@ -431,8 +432,8 @@ class TestResamplingEngine:
 
 
 class TestDrawCounts:
-    """A negative draw count, or a single bootstrap replicate, is an input
-    error raised before any fit."""
+    """A negative draw count, a single bootstrap replicate or fewer than one
+    worker is an input error raised before any fit."""
 
     @pytest.fixture
     def no_fits(self, monkeypatch):
@@ -464,6 +465,20 @@ class TestDrawCounts:
         d = Dataset([cx, cy])
         with pytest.raises(InputError, match="n_perm"):
             correlation_matrix(d, ["x", "y"], None, n_perm=-3, seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_partial_spearman_rejects_workers_below_one(self, no_fits, workers):
+        cx, cy, cz = _curve_columns()
+        Z = DesignMatrix(cz.values[:, None], ("z",))
+        with pytest.raises(InputError, match=f"workers must be >= 1, got {workers}"):
+            partial_spearman(cx, cy, Z, n_boot=20, n_perm=0, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_scan_rejects_workers_below_one(self, no_fits, workers):
+        cx, cy, _ = _curve_columns()
+        config = ScanConfig(n_perm=9, workers=workers, seed=1)
+        with pytest.raises(InputError, match=f"workers must be >= 1, got {workers}"):
+            batch_partial_spearman(cy, None, [cx], config)
 
 
 class TestStackedBootstrap:
