@@ -540,7 +540,7 @@ def build_design(d: Dataset, terms: list[Term] | tuple[Term, ...]) -> DesignMatr
 
     Raises on missing values among the referenced columns, on categorical
     terms with fewer than two observed levels, on constant columns, and on
-    exact collinearity (rank deficiency).
+    exact collinearity of the columns and an intercept (rank deficiency).
     """
     blocks: list[np.ndarray] = []
     names: list[str] = []
@@ -584,8 +584,10 @@ def build_design(d: Dataset, terms: list[Term] | tuple[Term, ...]) -> DesignMatr
     flat = np.flatnonzero(ptp == 0)
     if flat.size:
         raise InputError(f"design column {names[flat[0]]!r} is constant")
-    if np.linalg.matrix_rank(m) < m.shape[1]:
-        raise InputError("design matrix is rank deficient (exact collinearity)")
+    # every family fits an intercept (for orm-*, the cut points), so a term collinear
+    # with it is not identified; rank [1, m] = 1 + rank of m centred, one column fewer
+    if np.linalg.matrix_rank(m - m.mean(axis=0)) < m.shape[1]:
+        raise InputError("design matrix is rank deficient once an intercept is added")
     return DesignMatrix(m, tuple(names), tuple(terms))
 
 

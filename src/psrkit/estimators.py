@@ -53,9 +53,13 @@ and the fit stops as converged.  The decrement is twice the gain the step
 predicts in log-likelihood, so the rule holds at any n, whereas the score's
 rounding noise grows with the number of cut points.
 
-Parametric families (normal linear, log-link Poisson, log-link exponential
-survival) share the :class:`ModelFit` container, storing their single
-intercept in ``alpha``.
+The parametric families (normal linear, log-link Poisson, log-link
+exponential survival) each fit one intercept, stored in ``alpha``, and share
+one design check that rejects ``n <= p`` and a design collinear with that
+intercept.  Poisson and exponential survival share one log-rate Newton fit:
+the exponential log-likelihood of times t and event indicators delta is the
+Poisson log-likelihood of delta with exposure t (Holford, Biometrics 1980;
+Laird & Olivier, JASA 1981).
 """
 from __future__ import annotations
 
@@ -938,17 +942,35 @@ def fit_empirical(y: Column) -> ModelFit:
     )
 
 
-def fit_linear_normal(y: Column, X: DesignMatrix | None = None) -> ModelFit:
-    """Ordinary least squares with maximum-likelihood (divide-by-n) sigma."""
-    yv, Xm, names = _check_fit_inputs(
-        y, X, kinds={ColumnKind.CONTINUOUS, ColumnKind.COUNT, ColumnKind.BINARY}
-    )
+def _design(y: Column, X: DesignMatrix | None, kinds) -> tuple:
+    """The input checks of a one-intercept family: the outcome values, the
+    design ``[1, X]`` and the term names.  Rejects ``n <= p`` and a design
+    collinear with the intercept."""
+    yv, Xm, names = _check_fit_inputs(y, X, kinds)
     n, p = Xm.shape
-    full = np.column_stack([np.ones(n), Xm])
     if n <= p:
         raise InputError(f"need more than {p} observations to fit {p} slopes")
+    full = np.column_stack([np.ones(n), Xm])
     if np.linalg.matrix_rank(full) < p + 1:
         raise InputError("design matrix is rank deficient once an intercept is added")
+    return yv, full, names
+
+
+def _intercept_fit(link, y, names, coef, loglik, iterations, grad_max_norm, scale=None):
+    """The converged :class:`ModelFit` of a one-intercept family, coef = (alpha, beta)."""
+    return ModelFit(
+        link=link, outcome=y.name, beta=coef[1:], alpha=coef[:1], term_names=names,
+        loglik=loglik, converged=True, iterations=iterations, n_obs=y.n,
+        grad_max_norm=grad_max_norm, scale=scale,
+    )
+
+
+def fit_linear_normal(y: Column, X: DesignMatrix | None = None) -> ModelFit:
+    """Ordinary least squares with maximum-likelihood (divide-by-n) sigma."""
+    yv, full, names = _design(
+        y, X, kinds={ColumnKind.CONTINUOUS, ColumnKind.COUNT, ColumnKind.BINARY}
+    )
+    n = y.n
     coef, _, _, _ = np.linalg.lstsq(full, yv, rcond=None)
     resid = yv - full @ coef
     sigma2 = float(resid @ resid) / n
@@ -957,36 +979,38 @@ def fit_linear_normal(y: Column, X: DesignMatrix | None = None) -> ModelFit:
             f"fit of {y.name!r} is degenerate: residual variance is zero"
         )
     loglik = -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
-    return ModelFit(
-        link="identity-normal",
-        outcome=y.name,
-        beta=coef[1:],
-        alpha=coef[:1],
-        term_names=names,
-        loglik=float(loglik),
-        converged=True,
-        iterations=0,
-        n_obs=n,
-        grad_max_norm=0.0,
-        scale=float(np.sqrt(sigma2)),
+    return _intercept_fit(
+        "identity-normal", y, names, coef, float(loglik), 0, 0.0, float(np.sqrt(sigma2))
     )
 
 
-def _newton_loglinear(full, yvec, coef, loglik_at, max_iter, label):
-    """Shared Newton driver for log-link GLMs with score full'(yvec - aux).
+def _fit_log_rate(link, y, full, names, counts, exposure, const, max_iter) -> ModelFit:
+    """The fit of counts_i ~ Poisson(exposure_i exp(eta_i)), eta = full @ coef,
+    with log-likelihood counts' eta - sum(mu) - const, mu the fitted means.
 
-    ``loglik_at`` maps coefficients to (loglik, aux) where ``aux`` is the
-    per-observation fitted mean entering both the score and the information
-    matrix full' diag(aux) full.  Step-halving keeps the likelihood
-    nondecreasing until the Newton decrement is at most ``DECREMENT_TOL``;
-    that full step is then taken without the likelihood test and ends the fit.
+    Newton steps use the score full'(counts - mu) and the information
+    full' diag(mu) full, from the intercept-only solution
+    log(sum counts / sum exposure).  Step-halving keeps the likelihood
+    rising until the Newton decrement is at most ``DECREMENT_TOL``; that
+    full step is then taken without the likelihood test and ends the fit.
     """
-    ll, aux = loglik_at(coef)
+    label = f"{link.split('-')[1]} fit of {y.name!r}"
+
+    def loglik(coef):
+        eta = full @ coef
+        if np.max(eta) > 500:
+            return -np.inf, None
+        mu = exposure * np.exp(eta)
+        return float(counts @ eta - mu.sum() - const), mu
+
+    coef = np.zeros(full.shape[1])
+    coef[0] = np.log(counts.sum() / exposure.sum())
+    ll, mu = loglik(coef)
     iterations = 0
     while True:
-        grad = full.T @ (yvec - aux)
+        grad = full.T @ (counts - mu)
         try:
-            direction = np.linalg.solve(full.T @ (full * aux[:, None]), grad)
+            direction = np.linalg.solve(full.T @ (full * mu[:, None]), grad)
         except np.linalg.LinAlgError:
             raise ConvergenceError(f"{label}: singular information matrix") from None
         decrement = float(grad @ direction)
@@ -998,18 +1022,20 @@ def _newton_loglinear(full, yvec, coef, loglik_at, max_iter, label):
         iterations += 1
         if decrement <= DECREMENT_TOL:
             coef = coef + direction
-            ll, aux = loglik_at(coef)
-            return coef, ll, iterations, float(np.max(np.abs(full.T @ (yvec - aux))))
+            ll, mu = loglik(coef)
+            break
         step = 1.0
         for _ in range(40):
-            ll_new, aux_new = loglik_at(coef + step * direction)
+            ll_new, mu_new = loglik(coef + step * direction)
             if ll_new > ll:
                 break
             step *= 0.5
         else:
             raise ConvergenceError(f"{label}: line search stalled")
         coef = coef + step * direction
-        ll, aux = ll_new, aux_new
+        ll, mu = ll_new, mu_new
+    gmax = float(np.max(np.abs(full.T @ (counts - mu))))
+    return _intercept_fit(link, y, names, coef, ll, iterations, gmax)
 
 
 def fit_poisson(
@@ -1018,43 +1044,17 @@ def fit_poisson(
     *,
     max_iter: int = MAX_ITERATIONS,
 ) -> ModelFit:
-    """Log-link Poisson regression by iteratively reweighted least squares."""
-    yv, Xm, names = _check_fit_inputs(y, X, kinds={ColumnKind.COUNT, ColumnKind.BINARY})
-    n, p = Xm.shape
-    ybar = float(yv.mean())
-    if ybar <= 0:
+    """Log-link Poisson regression, mean_i = exp(alpha + x_i' beta), by
+    Newton's method on the log-likelihood, which for the canonical log link
+    is iteratively reweighted least squares: the log-rate fit with exposure
+    1 that :func:`fit_exponential_survival` shares."""
+    yv, full, names = _design(y, X, kinds={ColumnKind.COUNT, ColumnKind.BINARY})
+    if yv.mean() <= 0:
         raise DegenerateFitError(f"column {y.name!r}: all counts are zero")
-    full = np.column_stack([np.ones(n), Xm])
-    if np.linalg.matrix_rank(full) < p + 1:
-        raise InputError("design matrix is rank deficient once an intercept is added")
     from scipy.special import gammaln
 
     const = float(np.sum(gammaln(yv + 1.0)))
-
-    def loglik_at(coef):
-        eta = full @ coef
-        if np.max(eta) > 500:
-            return -np.inf, None
-        mu = np.exp(eta)
-        return float(yv @ eta - mu.sum() - const), mu
-
-    start = np.zeros(p + 1)
-    start[0] = np.log(ybar)
-    coef, ll, iterations, gmax = _newton_loglinear(
-        full, yv, start, loglik_at, max_iter, f"poisson fit of {y.name!r}"
-    )
-    return ModelFit(
-        link="log-poisson",
-        outcome=y.name,
-        beta=coef[1:],
-        alpha=coef[:1],
-        term_names=names,
-        loglik=ll,
-        converged=True,
-        iterations=iterations,
-        n_obs=n,
-        grad_max_norm=gmax,
-    )
+    return _fit_log_rate("log-poisson", y, full, names, yv, np.ones(y.n), const, max_iter)
 
 
 def fit_exponential_survival(
@@ -1065,42 +1065,19 @@ def fit_exponential_survival(
 ) -> ModelFit:
     """Exponential survival regression, rate_i = exp(alpha + x_i' beta).
 
-    Censored maximum likelihood with a log link; the intercept-only solution
-    is the classical (number of events) / (total follow-up time).
+    Censored maximum likelihood with a log link.  Its log-likelihood
+    sum(delta_i eta_i - t_i rate_i) is the Poisson log-likelihood of the
+    event indicators delta with the follow-up times t as exposure, so this
+    is :func:`fit_poisson`'s fit with counts delta, exposure t and constant
+    0.  The intercept-only solution is the classical (number of events) /
+    (total follow-up time).
     """
-    times, Xm, names = _check_fit_inputs(y, X, kinds={ColumnKind.RIGHT_CENSORED})
-    delta = y.events
+    times, full, names = _design(y, X, kinds={ColumnKind.RIGHT_CENSORED})
     if np.any(times <= 0):
         raise InputError(f"column {y.name!r}: follow-up times must be strictly positive")
-    if delta.sum() < 1:
+    if y.events.sum() < 1:
         raise DegenerateFitError(f"column {y.name!r}: needs at least one event")
-    n, p = Xm.shape
-    full = np.column_stack([np.ones(n), Xm])
-
-    def loglik_at(coef):
-        eta = full @ coef
-        if np.max(eta) > 500:
-            return -np.inf, None
-        rate_t = times * np.exp(eta)
-        return float(delta @ eta - rate_t.sum()), rate_t
-
-    start = np.zeros(p + 1)
-    start[0] = np.log(delta.sum() / times.sum())
-    coef, ll, iterations, gmax = _newton_loglinear(
-        full, delta, start, loglik_at, max_iter, f"exponential fit of {y.name!r}"
-    )
-    return ModelFit(
-        link="log-exponential",
-        outcome=y.name,
-        beta=coef[1:],
-        alpha=coef[:1],
-        term_names=names,
-        loglik=ll,
-        converged=True,
-        iterations=iterations,
-        n_obs=n,
-        grad_max_norm=gmax,
-    )
+    return _fit_log_rate("log-exponential", y, full, names, y.events, times, 0.0, max_iter)
 
 
 # ---------------------------------------------------------------------------

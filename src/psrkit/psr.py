@@ -108,7 +108,7 @@ def psr_all(fit: ModelFit, col: Column, X: DesignMatrix | None = None) -> PsrVec
     Equivalent to evaluating :func:`psr` (or :func:`psr_censored` for
     right-censored outcomes) against :func:`predict_distribution` row by
     row, but vectorized per model family.  A right-censored outcome needs
-    an exponential-survival fit.
+    an exponential-survival fit, and that fit a right-censored outcome.
     """
     if col.name != fit.outcome:
         raise InputError(f"column {col.name!r} does not match fit outcome {fit.outcome!r}")
@@ -127,36 +127,29 @@ def psr_all(fit: ModelFit, col: Column, X: DesignMatrix | None = None) -> PsrVec
         xb = np.zeros(n)
     source = f"{fit.link}:{fit.outcome}"
 
-    if col.kind is ColumnKind.RIGHT_CENSORED:
-        if fit.link != "log-exponential":
-            raise InputError(
-                f"censored column {col.name!r} needs an exponential-survival fit, "
-                f"got link {fit.link!r}"
-            )
-        times, delta = col.values, col.events
-        rate = np.exp(fit.alpha[0] + xb)
-        cdf = np.where(times > 0, -np.expm1(-rate * times), 0.0)
-        vals = cdf - delta * (1.0 - cdf)
-        return PsrVector(vals, source=source, discrete=fit.is_discrete)
-
+    if (col.kind is ColumnKind.RIGHT_CENSORED) != (fit.link == "log-exponential"):
+        raise InputError(
+            f"an exponential-survival fit goes with a censored column: column {col.name!r} "
+            f"has kind {col.kind.value}, fit has link {fit.link!r}"
+        )
     yv = col.values
-    if fit.link == "empirical" or fit.link in CUMULATIVE_LINKS:
+    if fit.link == "log-exponential":
+        rate = np.exp(fit.alpha[0] + xb)
+        cdf = np.where(yv > 0, -np.expm1(-rate * yv), 0.0)
+        vals = cdf - col.events * (1.0 - cdf)
+    elif fit.link == "empirical" or fit.link in CUMULATIVE_LINKS:
         vals = _discrete_psr(fit, yv, xb)
     elif fit.link == "identity-normal":
         from scipy.special import ndtr
 
         vals = 2.0 * ndtr((yv - (fit.alpha[0] + xb)) / fit.scale) - 1.0
-    elif fit.link == "log-poisson":
+    else:  # log-poisson, the one link of LINKS left
         from scipy.special import pdtr
 
         mu = np.exp(fit.alpha[0] + xb)
         # F(y-) is pdtr(y - 1), which is NaN rather than 0 at y = 0
         below = np.where(yv >= 1.0, pdtr(yv - 1.0, mu), 0.0)
         vals = below + pdtr(yv, mu) - 1.0
-    else:  # log-exponential, the one link of LINKS left
-        rate = np.exp(fit.alpha[0] + xb)
-        cdf = np.where(yv > 0, -np.expm1(-rate * yv), 0.0)
-        vals = 2.0 * cdf - 1.0
     return PsrVector(vals, source=source, discrete=fit.is_discrete)
 
 

@@ -186,11 +186,14 @@ class _MarginModel:
         """The fit of each bootstrap resample ``col.take(idx)`` for ``idx`` in
         ``idxs``, or the :class:`PsrKitError` that fit raised.  A stacked fit
         takes the resample as the original rows with frequency weights
-        ``bincount(idx)``, which is the same fit up to rounding."""
+        ``bincount(idx)``, which is the same fit up to rounding.  A resample
+        whose design the fit rejects (it lost a level of a binary term, say)
+        is a failed replicate: its :class:`InputError` becomes numeric."""
         if self.fit_stack is not None:
             weights = np.array([np.bincount(idx, minlength=col.n) for idx in idxs])
             return self.fit_stack([col] * len(idxs), Z, weights=weights)
-        return self._fit_each(Z, [(col, idx) for idx in idxs])
+        fits = self._fit_each(Z, [(col, idx) for idx in idxs])
+        return [DegenerateFitError(str(f)) if isinstance(f, InputError) else f for f in fits]
 
 
 #: the margin families: ``empirical`` ignores Z entirely; ``linear`` uses

@@ -180,6 +180,18 @@ class TestFit:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_terms_collinear_with_intercept_exit_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        p = tmp_path / "ab.csv"
+        rows = [(int(rng.integers(1, 4)), i % 2) for i in range(120)]
+        p.write_text("y,a,b\n" + "".join(f"{y},{a},{1 - a}\n" for y, a in rows))
+        code = run(
+            ["fit", "--data", str(p), "--schema", "y:ordinal(1<2<3),a:binary,b:binary",
+             "--model", "orm-logit(y ~ a + b)"]
+        )
+        assert code == 1
+        assert "rank deficient" in capsys.readouterr().err
+
 
 class TestPsr:
     def test_row_ids_skip_removed_rows(self, table, capsys):

@@ -305,6 +305,14 @@ class TestBuildDesign:
         with pytest.raises(InputError, match="collinear|rank"):
             build_design(d2, [Term("age"), Term("age2")])
 
+    def test_collinearity_with_intercept_rejected(self):
+        # a and 1 - a are independent columns, but with the intercept (or the
+        # cut points of an orm-* fit) only a - b is identified
+        a = (np.arange(120) % 2).astype(float)
+        d = Dataset((Column.binary("a", a), Column.binary("b", 1.0 - a)))
+        with pytest.raises(InputError, match="rank deficient once an intercept is added"):
+            build_design(d, [Term("a"), Term("b")])
+
     def test_missing_rejected(self):
         d = Dataset((Column.continuous("x", [1.0, 2.0], missing=[True, False]),))
         with pytest.raises(InputError):

@@ -768,6 +768,31 @@ class TestExponentialSurvival:
         with pytest.raises(InputError):
             fit_exponential_survival(Column.continuous("t", [1.0, 2.0]))
 
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_unit_times_are_poisson_of_events(self, p):
+        # with every follow-up time 1 the exposure is 1, and log(0!) = log(1!)
+        # = 0, so the fit is the Poisson fit of the event indicators, bit for bit
+        for seed in range(10):
+            rng = np.random.default_rng([seed, p])
+            n = 60
+            x = rng.normal(0, 1, (n, p))
+            X = DesignMatrix(x, ("x1", "x2")[:p]) if p else None
+            delta = (rng.uniform(size=n) < 0.5).astype(float)
+            surv = fit_exponential_survival(Column.right_censored("t", np.ones(n), delta), X)
+            pois = fit_poisson(Column.binary("t", delta), X)
+            assert np.array_equal(surv.alpha, pois.alpha)
+            assert np.array_equal(surv.beta, pois.beta)
+            assert surv.loglik == pois.loglik
+            assert surv.iterations == pois.iterations
+            assert surv.grad_max_norm == pois.grad_max_norm
+
+    def test_design_collinear_with_intercept_rejected(self):
+        rng = np.random.default_rng(10)
+        a = (np.arange(200) % 2).astype(float)
+        col = Column.right_censored("t", rng.exponential(1.0, 200), np.ones(200))
+        with pytest.raises(InputError, match="rank deficient"):
+            fit_exponential_survival(col, DesignMatrix(np.column_stack([a, 1.0 - a]), ("a", "b")))
+
 
 # ---------------------------------------------------------------------------
 # model comparison

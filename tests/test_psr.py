@@ -178,6 +178,12 @@ class TestPsrAll:
         with pytest.raises(InputError, match="exponential"):
             psr_all(fit, Column.right_censored("t", t, np.ones(30)))
 
+    def test_exponential_fit_needs_censored_outcome(self):
+        t = np.random.default_rng(16).exponential(1.0, 30)
+        fit = fit_exponential_survival(Column.right_censored("t", t, np.ones(30)))
+        with pytest.raises(InputError, match="censored"):
+            psr_all(fit, Column.continuous("t", t))
+
     def test_bounds_always_hold(self):
         rng = np.random.default_rng(13)
         y = Column.continuous("y", rng.integers(0, 3, 40).astype(float))

@@ -153,6 +153,29 @@ class TestPartialSpearman:
         assert res.resampling[0].n_draws == 50
         assert res.resampling[0].seed == 1
 
+    @pytest.mark.parametrize("y_model", ["linear", "exp-surv"])
+    def test_replicate_that_loses_a_binary_level_fails_alone(self, y_model):
+        # two of 40 rows carry z = 1, so about one resample in eight has a
+        # constant z, collinear with the intercept: that replicate fails and
+        # is dropped, and the interval comes from the others
+        rng = np.random.default_rng(1)
+        z = np.zeros(40)
+        z[:2] = 1.0
+        t = rng.exponential(1.0, 40)
+        y = (
+            Column.continuous("y", t)
+            if y_model == "linear"
+            else Column.right_censored("y", t, (rng.uniform(size=40) < 0.8).astype(float))
+        )
+        res = partial_spearman(
+            Column.continuous("x", rng.normal(size=40)), y, DesignMatrix(z[:, None], ("z",)),
+            x_model="empirical", y_model=y_model, n_boot=100, n_perm=0, seed=3,
+        )
+        assert len(res.notes) == 1
+        assert res.notes[0].endswith("of 100 bootstrap replicates failed and were dropped")
+        assert int(res.notes[0].split()[0]) > 0
+        assert res.ci_low < res.estimate < res.ci_high
+
 
 class TestMarginModels:
     def test_default_rules(self):
