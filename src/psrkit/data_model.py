@@ -535,6 +535,13 @@ class DesignMatrix:
         return DesignMatrix(self.matrix[idx], self.names, self.terms)
 
 
+def _check_intercept_rank(m: np.ndarray) -> None:
+    """Reject design columns ``m`` collinear with the intercept (for orm-*, the
+    cut points) every family fits: rank [1, m] < p + 1, as rank of m centred < p."""
+    if m.shape[1] and np.linalg.matrix_rank(m - m.mean(axis=0)) < m.shape[1]:
+        raise InputError("design matrix is rank deficient once an intercept is added")
+
+
 def build_design(d: Dataset, terms: list[Term] | tuple[Term, ...]) -> DesignMatrix:
     """Assemble a design matrix from dataset columns.
 
@@ -584,10 +591,7 @@ def build_design(d: Dataset, terms: list[Term] | tuple[Term, ...]) -> DesignMatr
     flat = np.flatnonzero(ptp == 0)
     if flat.size:
         raise InputError(f"design column {names[flat[0]]!r} is constant")
-    # every family fits an intercept (for orm-*, the cut points), so a term collinear
-    # with it is not identified; rank [1, m] = 1 + rank of m centred, one column fewer
-    if np.linalg.matrix_rank(m - m.mean(axis=0)) < m.shape[1]:
-        raise InputError("design matrix is rank deficient once an intercept is added")
+    _check_intercept_rank(m)
     return DesignMatrix(m, tuple(names), tuple(terms))
 
 

@@ -60,23 +60,29 @@ intercept.  Poisson and exponential survival share one log-rate Newton fit:
 the exponential log-likelihood of times t and event indicators delta is the
 Poisson log-likelihood of delta with exposure t (Holford, Biometrics 1980;
 Laird & Olivier, JASA 1981).
+
+What a fit predicts comes from one table keyed by ``ModelFit.link``, in the
+order of ``LINKS``: per link, (F(y-), F(y)) over arrays of outcomes and linear
+predictors, one row's :class:`FittedDistribution` (a discrete one built from
+the same F), and whether the outcome is discrete or right-censored.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .data_model import Column, ColumnKind, DesignMatrix, ORDERABLE_KINDS
+from .data_model import Column, ColumnKind, DesignMatrix, ORDERABLE_KINDS, _check_intercept_rank
 from .exceptions import ConvergenceError, DegenerateFitError, InputError, PsrKitError
 from .fitted_dist import (
     DiscreteSupport,
     ExponentialDist,
     FittedDistribution,
     NormalDist,
+    _ndtr,
 )
 
 __all__ = [
@@ -143,12 +149,6 @@ def _logit(p):
         return np.where(
             (p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)), np.log1p(s) - np.log1p(-s)
         )
-
-
-def _ndtr(x):
-    from scipy.special import ndtr
-
-    return ndtr(x)
 
 
 # Wichura's AS241 (PPND16), Appl. Statist. 37:477-484 (1988): numerators and
@@ -273,13 +273,89 @@ CUMULATIVE_LINKS: dict[str, LinkFamily] = {
     ),
 }
 
+
+class _FittedCdf(NamedTuple):
+    """A link's fitted CDF: ``bounds(fit, y, xb)`` gives (F(y-), F(y)) over
+    arrays of outcomes and linear predictors, ``row(fit, xb)`` one row's
+    distribution; ``censored`` marks right-censored outcomes."""
+
+    bounds: Callable
+    row: Callable
+    discrete: bool
+    censored: bool = False
+
+
+def _empirical_bounds(fit, y, xb):
+    cum = np.concatenate([[0.0], fit.support_cum_probs[:-1], [1.0]])
+    lo = np.searchsorted(fit.support, y, side="left")  # the atoms below y
+    hi = np.searchsorted(fit.support, y, side="right")  # the atoms at or below y
+    return cum[lo], cum[hi]
+
+
+def _cumulative_bounds(fit, y, xb):
+    # F just after atom k (1-based) is h(alpha_k - xb); the cut points -inf
+    # and +inf added at the ends give every link's h exactly 0 and 1
+    cdf = CUMULATIVE_LINKS[fit.link].cdf
+    cuts = np.concatenate([[-np.inf], fit.alpha, [np.inf]])
+    lo = np.searchsorted(fit.support, y, side="left")
+    hi = np.searchsorted(fit.support, y, side="right")
+    return np.clip(cdf(cuts[lo] - xb), 0.0, 1.0), np.clip(cdf(cuts[hi] - xb), 0.0, 1.0)
+
+
+def _normal_bounds(fit, y, xb):
+    cdf = _ndtr((y - (fit.alpha[0] + xb)) / fit.scale)
+    return cdf, cdf
+
+
+def _poisson_bounds(fit, y, xb):
+    from scipy.special import pdtr
+
+    mu = np.exp(fit.alpha[0] + xb)
+    # F(y-) is pdtr(y - 1), which is NaN rather than 0 at y = 0
+    return np.where(y >= 1.0, pdtr(y - 1.0, mu), 0.0), pdtr(y, mu)
+
+
+def _exponential_bounds(fit, y, xb):
+    rate = np.exp(fit.alpha[0] + xb)
+    cdf = np.where(y > 0, -np.expm1(-rate * y), 0.0)
+    return cdf, cdf
+
+
+def _atoms_row(fit, xb, points=None) -> DiscreteSupport:
+    """The atoms ``points`` (default ``fit.support``) at the link's F."""
+    points = fit.support if points is None else points
+    _, cp = _FITTED_CDFS[fit.link].bounds(fit, points, xb)
+    # guard the monotone construction against rounding at the tails
+    np.maximum.accumulate(cp, out=cp)
+    np.clip(cp, 0.0, 1.0, out=cp)
+    return DiscreteSupport(points, cp)
+
+
+def _poisson_row(fit, xb) -> DiscreteSupport:
+    """The counts up to the first one from the mean on whose F reaches 1 - 1e-12."""
+    top = int(np.exp(fit.alpha[0] + xb))
+    while _poisson_bounds(fit, top, xb)[1] < 1.0 - 1e-12:
+        top += 1
+    return _atoms_row(fit, xb, np.arange(top + 1, dtype=float))
+
+
+_FITTED_CDFS: dict[str, _FittedCdf] = {
+    **{link: _FittedCdf(_cumulative_bounds, _atoms_row, True) for link in CUMULATIVE_LINKS},
+    "empirical": _FittedCdf(_empirical_bounds, _atoms_row, True),
+    "identity-normal": _FittedCdf(
+        _normal_bounds, lambda fit, xb: NormalDist(fit.alpha[0] + xb, fit.scale), False
+    ),
+    "log-poisson": _FittedCdf(_poisson_bounds, _poisson_row, True),
+    "log-exponential": _FittedCdf(
+        _exponential_bounds,
+        lambda fit, xb: ExponentialDist(float(np.exp(fit.alpha[0] + xb))),
+        False,
+        censored=True,
+    ),
+}
+
 #: every accepted value of ``ModelFit.link``
-LINKS = tuple(CUMULATIVE_LINKS) + (
-    "empirical",
-    "identity-normal",
-    "log-poisson",
-    "log-exponential",
-)
+LINKS = tuple(_FITTED_CDFS)
 
 
 @dataclass(frozen=True)
@@ -330,7 +406,7 @@ class ModelFit:
 
     @property
     def is_discrete(self) -> bool:
-        return self.link in CUMULATIVE_LINKS or self.link in ("empirical", "log-poisson")
+        return _FITTED_CDFS[self.link].discrete
 
 
 # ---------------------------------------------------------------------------
@@ -921,8 +997,7 @@ def fit_empirical(y: Column) -> ModelFit:
     yv, _, _ = _check_fit_inputs(y, None, kinds=ORDERABLE_KINDS)
     support, counts = np.unique(yv, return_counts=True)
     n = y.n
-    cum = np.cumsum(counts) / n
-    cum[-1] = 1.0
+    cum = np.cumsum(counts) / n  # ends at n / n, exactly 1
     # metadata intercepts on the logit scale; predictions use the exact ECDF
     alpha = _logit(cum[:-1]) if support.size > 1 else np.zeros(0)
     loglik = float(np.sum(counts * np.log(counts / n)))
@@ -950,10 +1025,8 @@ def _design(y: Column, X: DesignMatrix | None, kinds) -> tuple:
     n, p = Xm.shape
     if n <= p:
         raise InputError(f"need more than {p} observations to fit {p} slopes")
-    full = np.column_stack([np.ones(n), Xm])
-    if np.linalg.matrix_rank(full) < p + 1:
-        raise InputError("design matrix is rank deficient once an intercept is added")
-    return yv, full, names
+    _check_intercept_rank(Xm)
+    return yv, np.column_stack([np.ones(n), Xm]), names
 
 
 def _intercept_fit(link, y, names, coef, loglik, iterations, grad_max_norm, scale=None):
@@ -1084,10 +1157,6 @@ def fit_exponential_survival(
 # prediction
 # ---------------------------------------------------------------------------
 
-#: Poisson supports are truncated at the smallest count whose CDF reaches this
-_POISSON_TAIL = 1.0 - 1e-12
-
-
 def predict_distribution(fit: ModelFit, row) -> FittedDistribution:
     """The fitted conditional outcome distribution at one design row.
 
@@ -1099,33 +1168,7 @@ def predict_distribution(fit: ModelFit, row) -> FittedDistribution:
             f"design row has {row.size} entries, fit expects {fit.beta.size}"
         )
     xb = float(row @ fit.beta) if fit.beta.size else 0.0
-    if fit.link == "empirical":
-        return DiscreteSupport(fit.support, fit.support_cum_probs)
-    if fit.link in CUMULATIVE_LINKS:
-        fam = CUMULATIVE_LINKS[fit.link]
-        cp = np.empty(fit.support.size)
-        cp[:-1] = fam.cdf(fit.alpha - xb)
-        cp[-1] = 1.0
-        # guard the monotone construction against rounding at the tails
-        np.maximum.accumulate(cp, out=cp)
-        np.clip(cp, 0.0, 1.0, out=cp)
-        return DiscreteSupport(fit.support, cp)
-    if fit.link == "identity-normal":
-        return NormalDist(fit.alpha[0] + xb, fit.scale)
-    if fit.link == "log-exponential":
-        return ExponentialDist(float(np.exp(fit.alpha[0] + xb)))
-    if fit.link == "log-poisson":
-        from scipy.special import pdtr
-
-        mu = float(np.exp(fit.alpha[0] + xb))
-        top = int(mu)
-        while pdtr(top, mu) < _POISSON_TAIL:
-            top += 1
-        points = np.arange(top + 1, dtype=float)
-        cp = pdtr(points, mu)
-        np.clip(cp, 0.0, 1.0, out=cp)
-        return DiscreteSupport(points, cp)
-    raise InputError(f"unknown link {fit.link!r}")
+    return _FITTED_CDFS[fit.link].row(fit, xb)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,13 @@ __all__ = [
 _TOTAL_MASS_TOL = 1e-12
 
 
+def _ndtr(x):
+    """The standard normal CDF, the one import of scipy's ``ndtr``."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
 @dataclass(frozen=True)
 class DiscreteSupport:
     """Distribution placing probability mass on a finite, sorted support.
@@ -116,9 +123,7 @@ class NormalDist:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
 
     def cdf(self, y: float) -> float:
-        from scipy.special import ndtr
-
-        return float(ndtr((y - self.mu) / self.sigma))
+        return float(_ndtr((y - self.mu) / self.sigma))
 
     def cdf_left(self, y: float) -> float:
         # continuous distribution: no atoms, the left limit equals the CDF

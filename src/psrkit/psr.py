@@ -12,6 +12,8 @@ right-censored observation (time y, event indicator delta) the residual is
 
 which reduces to the uncensored form when delta = 1 and to F(y) in [0, 1]
 when delta = 0; its expectation is again zero under a correct model.
+:func:`psr_all` takes F(y-) and F(y) for every row at once from the entry
+of the fit's link in the estimators' table of fitted CDFs.
 
 :func:`psr_from_omers` converts observed-minus-expected residuals from a
 fitted mean model into empirical-CDF residuals, the device used to feed
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Column, ColumnKind, DesignMatrix
-from .estimators import CUMULATIVE_LINKS, ModelFit, _ndtri
+from .estimators import _FITTED_CDFS, ModelFit, _check_fit_inputs, _ndtri
 from .exceptions import InputError
 from .fitted_dist import FittedDistribution
 
@@ -107,79 +109,25 @@ def psr_all(fit: ModelFit, col: Column, X: DesignMatrix | None = None) -> PsrVec
 
     Equivalent to evaluating :func:`psr` (or :func:`psr_censored` for
     right-censored outcomes) against :func:`predict_distribution` row by
-    row, but vectorized per model family.  A right-censored outcome needs
-    an exponential-survival fit, and that fit a right-censored outcome.
+    row, but over all rows at once from the (F(y-), F(y)) entry of the
+    fit's link.  A right-censored outcome needs an exponential-survival
+    fit, and that fit a right-censored outcome.
     """
     if col.name != fit.outcome:
         raise InputError(f"column {col.name!r} does not match fit outcome {fit.outcome!r}")
-    if col.missing.any():
-        raise InputError(f"column {col.name!r} has missing values; run complete_cases first")
-    n = col.n
-    if X is not None:
-        if X.n != n:
-            raise InputError("design matrix does not align with the outcome")
-        if X.p != fit.beta.size:
-            raise InputError(f"design has {X.p} columns, fit expects {fit.beta.size}")
-        xb = X.matrix @ fit.beta
-    else:
-        if fit.beta.size:
-            raise InputError(f"fit expects {fit.beta.size} design columns")
-        xb = np.zeros(n)
-    source = f"{fit.link}:{fit.outcome}"
-
-    if (col.kind is ColumnKind.RIGHT_CENSORED) != (fit.link == "log-exponential"):
+    _, Xm, _ = _check_fit_inputs(col, X, kinds=ColumnKind)
+    if Xm.shape[1] != fit.beta.size:
+        raise InputError(f"design has {Xm.shape[1]} columns, fit expects {fit.beta.size}")
+    xb = Xm @ fit.beta
+    cdf = _FITTED_CDFS[fit.link]
+    if (col.kind is ColumnKind.RIGHT_CENSORED) != cdf.censored:
         raise InputError(
             f"an exponential-survival fit goes with a censored column: column {col.name!r} "
             f"has kind {col.kind.value}, fit has link {fit.link!r}"
         )
-    yv = col.values
-    if fit.link == "log-exponential":
-        rate = np.exp(fit.alpha[0] + xb)
-        cdf = np.where(yv > 0, -np.expm1(-rate * yv), 0.0)
-        vals = cdf - col.events * (1.0 - cdf)
-    elif fit.link == "empirical" or fit.link in CUMULATIVE_LINKS:
-        vals = _discrete_psr(fit, yv, xb)
-    elif fit.link == "identity-normal":
-        from scipy.special import ndtr
-
-        vals = 2.0 * ndtr((yv - (fit.alpha[0] + xb)) / fit.scale) - 1.0
-    else:  # log-poisson, the one link of LINKS left
-        from scipy.special import pdtr
-
-        mu = np.exp(fit.alpha[0] + xb)
-        # F(y-) is pdtr(y - 1), which is NaN rather than 0 at y = 0
-        below = np.where(yv >= 1.0, pdtr(yv - 1.0, mu), 0.0)
-        vals = below + pdtr(yv, mu) - 1.0
-    return PsrVector(vals, source=source, discrete=fit.is_discrete)
-
-
-def _discrete_psr(fit: ModelFit, yv: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """F(y-) + F(y) - 1 against per-row discrete CDFs, without materializing them.
-
-    Only two cumulative probabilities per row are needed: the ones at the
-    support positions bracketing the observed value.
-    """
-    support = fit.support
-    hi = np.searchsorted(support, yv, side="right")  # support points <= y
-    lo = np.searchsorted(support, yv, side="left")  # support points < y
-    return _cum_at(fit, hi, xb) + _cum_at(fit, lo, xb) - 1.0
-
-
-def _cum_at(fit: ModelFit, pos: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Cumulative probability just after `pos` support points, per row."""
-    n_pts = fit.support.size
-    out = np.empty(pos.size)
-    out[pos == 0] = 0.0
-    out[pos == n_pts] = 1.0
-    mid = (pos > 0) & (pos < n_pts)
-    if np.any(mid):
-        if fit.link == "empirical":
-            out[mid] = fit.support_cum_probs[pos[mid] - 1]
-        else:
-            fam = CUMULATIVE_LINKS[fit.link]
-            cum = fam.cdf(fit.alpha[pos[mid] - 1] - xb[mid])
-            out[mid] = np.clip(cum, 0.0, 1.0)
-    return out
+    lo, hi = cdf.bounds(fit, col.values, xb)
+    vals = hi - col.events * (1.0 - lo) if cdf.censored else lo + hi - 1.0
+    return PsrVector(vals, source=f"{fit.link}:{fit.outcome}", discrete=cdf.discrete)
 
 
 def normal_transform(residuals: PsrVector | np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from psrkit.data_model import Column, DesignMatrix
 from psrkit.estimators import (
+    CUMULATIVE_LINKS,
+    LINKS,
     fit_cumulative_link,
     fit_empirical,
     fit_exponential_survival,
@@ -145,7 +147,8 @@ class TestPsrAll:
                 out[i] = psr(ycol.values[i], dist)
         return out
 
-    def test_fast_paths_match_generic_loop(self):
+    def _fits_by_link(self):
+        """One fit of every link in LINKS, each with its outcome and design."""
         rng = np.random.default_rng(12)
         n = 120
         x = rng.normal(0, 1, n)
@@ -158,25 +161,62 @@ class TestPsrAll:
         y_surv = Column.right_censored(
             "t", np.minimum(t_ev, cc), (t_ev <= cc).astype(float)
         )
+        cases = {
+            link: (fit_cumulative_link(y_cont, X, link), y_cont, X)
+            for link in CUMULATIVE_LINKS
+        }
+        cases["empirical"] = (fit_empirical(y_cont), y_cont, None)
+        cases["identity-normal"] = (fit_linear_normal(y_cont, X), y_cont, X)
+        cases["log-poisson"] = (fit_poisson(y_count, X), y_count, X)
+        cases["log-exponential"] = (fit_exponential_survival(y_surv, X), y_surv, X)
+        return [(link, *cases[link]) for link in LINKS]
 
-        cases = [
-            (fit_empirical(y_cont), y_cont, None),
-            (fit_cumulative_link(y_cont, X, "logit"), y_cont, X),
-            (fit_cumulative_link(y_cont, X, "probit"), y_cont, X),
-            (fit_linear_normal(y_cont, X), y_cont, X),
-            (fit_poisson(y_count, X), y_count, X),
-            (fit_exponential_survival(y_surv, X), y_surv, X),
-        ]
-        for fit, ycol, Xd in cases:
-            fast = psr_all(fit, ycol, Xd).values
+    def test_fast_paths_match_generic_loop(self):
+        for link, fit, ycol, Xd in self._fits_by_link():
+            assert fit.link == link
+            r = psr_all(fit, ycol, Xd)
             slow = self._slow(fit, ycol, Xd)
-            assert np.allclose(fast, slow, atol=1e-12), fit.link
+            assert np.allclose(r.values, slow, atol=1e-12), link
+            assert r.discrete == fit.is_discrete, link
+            assert fit.is_discrete == (link not in ("identity-normal", "log-exponential"))
+
+    def test_every_link_matches_an_independent_cdf(self):
+        # F written out from scipy.stats, not read from the estimators' table
+        from scipy import stats
+
+        links = {
+            "logit": stats.logistic.cdf,
+            "probit": stats.norm.cdf,
+            "cloglog": stats.gumbel_l.cdf,
+            "loglog": stats.gumbel_r.cdf,
+        }
+        for link, fit, ycol, Xd in self._fits_by_link():
+            y = ycol.values
+            xb = Xd.matrix @ fit.beta if Xd is not None else np.zeros(ycol.n)
+            if link in links:
+                cuts = np.concatenate([[-np.inf], fit.alpha, [np.inf]])
+                k = np.searchsorted(fit.support, y)
+                lo, hi = links[link](cuts[k] - xb), links[link](cuts[k + 1] - xb)
+            elif link == "empirical":
+                lo, hi = np.mean(y[:, None] > y, axis=1), np.mean(y[:, None] >= y, axis=1)
+            elif link == "identity-normal":
+                lo = hi = stats.norm.cdf(y, fit.alpha[0] + xb, fit.scale)
+            elif link == "log-poisson":
+                mu = np.exp(fit.alpha[0] + xb)
+                lo, hi = stats.poisson.cdf(y - 1, mu), stats.poisson.cdf(y, mu)
+            else:
+                lo = hi = stats.expon.cdf(y, scale=np.exp(-(fit.alpha[0] + xb)))
+            want = hi - ycol.events * (1 - lo) if ycol.events is not None else lo + hi - 1
+            assert np.allclose(psr_all(fit, ycol, Xd).values, want, atol=1e-12), link
 
     def test_censored_outcome_needs_exponential_fit(self):
-        t = np.random.default_rng(15).exponential(1.0, 30)
-        fit = fit_linear_normal(Column.continuous("t", t))
-        with pytest.raises(InputError, match="exponential"):
-            psr_all(fit, Column.right_censored("t", t, np.ones(30)))
+        for link, fit, ycol, Xd in self._fits_by_link():
+            if link == "log-exponential":
+                continue
+            t = np.abs(ycol.values) + 0.5
+            censored = Column.right_censored(ycol.name, t, np.ones(ycol.n))
+            with pytest.raises(InputError, match="exponential"):
+                psr_all(fit, censored, Xd)
 
     def test_exponential_fit_needs_censored_outcome(self):
         t = np.random.default_rng(16).exponential(1.0, 30)
