@@ -10,6 +10,11 @@ schema mismatch), 2 on numerical failure (non-convergence, degenerate
 fits).  All randomness flows from ``--seed`` through named substreams, and
 every output is written with fixed formatting, so identical inputs and
 arguments produce byte-identical files, whatever ``--threads`` is.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
+is already set, so every command (and each of its worker processes) runs
+numpy's BLAS on one thread; the library itself leaves the variable alone.
+The ``diag`` plotting code loads only when ``diag`` runs.
 """
 from __future__ import annotations
 
@@ -19,6 +24,12 @@ import io
 import json
 import os
 import sys
+
+# One OpenBLAS thread: psrkit's products are too small to split, and
+# ``--threads`` (worker processes, which inherit this) is the one parallelism.
+# OpenBLAS reads the variable once, when numpy loads, so it is set before the
+# first import of numpy; a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -32,13 +43,6 @@ from .data_model import (
     build_design,
     complete_cases,
     load_csv,
-)
-from .diagnostics import (
-    ks_uniform,
-    qq_uniform,
-    render_qq,
-    render_residual,
-    residual_by_predictor,
 )
 from .exceptions import InputError, NumericError
 from .formula import design_for_spec, fit_spec, parse_model_spec, parse_term_list
@@ -244,6 +248,10 @@ def _plot_csv(kinds_points) -> str:
 
 
 def _cmd_diag(args) -> int:
+    from .diagnostics import (
+        ks_uniform, qq_uniform, render_qq, render_residual, residual_by_predictor,
+    )
+
     rbp_items = [_parse_keyed_path(t, "--rbp") for t in (args.rbp or [])]
     spec = parse_model_spec(args.fit_spec)
     needed = _model_columns(spec)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -328,6 +327,8 @@ def _pool_map(task, items, n_items: int, workers: int) -> list:
     """
     if workers <= 1 or n_items <= 1:
         return list(map(task, items))
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(workers, n_items)
     out: list = []
     pending: deque = deque()

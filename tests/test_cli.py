@@ -1,5 +1,6 @@
 """Command line front end: subcommands, file outputs, exit codes."""
 import csv
+import importlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import psrkit
 from psrkit import rank_association as ra
 from psrkit.cli import build_parser, run
 from psrkit.exceptions import InputError
@@ -60,12 +62,14 @@ def _parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
-def _python_stdout(code):
-    """Standard output of ``python -c code`` with this psrkit on the path."""
-    import psrkit
-
+def _python_stdout(code, blas_threads=None):
+    """Standard output of ``python -c code`` with this psrkit on the path and
+    ``OPENBLAS_NUM_THREADS`` set to ``blas_threads`` (unset for None)."""
     src = os.path.dirname(os.path.dirname(psrkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -123,6 +127,89 @@ class TestTopLevel:
             "print(fit.alpha.size, fit.converged, 'scipy' in sys.modules)"
         )
         assert _python_stdout(code).split() == ["2999", "True", "False"]
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy(self):
+        code = (
+            "import os, sys, psrkit; "
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        assert _python_stdout(code).split() == ["False", "None"]
+
+    def test_names_are_their_modules_objects(self):
+        # psrkit.cli loads psrkit.psr, the module named like its function psr
+        code = """
+import sys, types, psrkit.cli, psrkit.diagnostics
+from psrkit import *
+wrong = []
+for name in psrkit.__all__:
+    obj = getattr(psrkit, name)
+    defined = isinstance(obj, (type, types.FunctionType))
+    homes = [key for key, m in sys.modules.items() if key.startswith("psrkit.")
+             and vars(m).get(name) is obj and (not defined or obj.__module__ == key)]
+    if (name != "__version__" and not homes) or globals()[name] is not obj:
+        wrong.append(name)
+try:
+    psrkit.no_such_name
+    wrong.append("no_such_name")
+except AttributeError:
+    pass
+print(wrong)
+"""
+        assert _python_stdout(code).strip() == "[]"
+
+    def test_lookup_follows_a_rebound_name(self, monkeypatch):
+        # perfbench's tracer rebinds each module's public functions
+        for module, name in (("data_model", "load_csv"), ("psr", "psr")):
+            sentinel = object()
+            monkeypatch.setattr(importlib.import_module(f"psrkit.{module}"), name, sentinel)
+            assert getattr(psrkit, name) is sentinel
+
+    def test_cli_sets_one_blas_thread_unless_set(self):
+        code = "import os, psrkit.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _python_stdout(code).strip() == "1"
+        assert _python_stdout(code, blas_threads=3).strip() == "3"
+
+    def test_commands_load_only_what_they_use(self, table, tmp_path):
+        model = ["--data", table, "--schema", SCHEMA]
+        fit = ["fit", *model, "--model", "orm-logit(y ~ age)", "--out", str(tmp_path / "f.json")]
+        diag = ["diag", *model, "--fit-spec", "orm-logit(y ~ age)"]
+        loaded = "'psrkit.diagnostics' in sys.modules, 'concurrent.futures.process' in sys.modules"
+        for args, expected in ((fit, ["0", "False", "False"]), (diag, ["0", "True", "False"])):
+            code = f"import sys; from psrkit.cli import run; print(run({args!r}), {loaded})"
+            assert _python_stdout(code).splitlines()[-1].split() == expected
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # big enough for OpenBLAS to split: the fit's 10^4 x 3 matrix-vector
+        # products and the bootstrap's (16, 2000) @ (2000, 25) products
+        rng = np.random.default_rng(29)
+        big = rng.normal(size=(10_000, 3))
+        y = big @ [1.0, -0.5, 0.25] + rng.logistic(size=10_000)
+        np.savetxt(tmp_path / "big.csv", np.column_stack([y, big]), delimiter=",",
+                   header="y,a,b,c", comments="", fmt="%.17g")
+        age, bmi = rng.normal(50, 10, 2000), rng.normal(27, 4, 2000)
+        sex = rng.integers(0, 2, 2000)
+        x = 0.05 * age + sex + rng.normal(size=2000)
+        yy = 0.3 * x + 0.1 * bmi + rng.normal(size=2000)
+        np.savetxt(tmp_path / "pcor.csv", np.column_stack([x, yy, age, bmi, sex]),
+                   delimiter=",", header="x,y,age,bmi,sex", comments="", fmt="%.17g")
+        outputs = []
+        for threads in (2, None):
+            fit_out, pcor_out = tmp_path / f"fit{threads}.json", tmp_path / f"pcor{threads}.csv"
+            fit = ["fit", "--data", str(tmp_path / "big.csv"),
+                   "--schema", "y:continuous,a:continuous,b:continuous,c:continuous",
+                   "--model", "orm-logit(y ~ a + b + c)", "--out", str(fit_out)]
+            pcor = ["pcor", "--data", str(tmp_path / "pcor.csv"),
+                    "--schema", "x:continuous,y:continuous,age:continuous,bmi:continuous,sex:binary",
+                    "--x", "x", "--y", "y", "--z", "age,rcs(bmi,4),sex",
+                    "--x-model", "orm-logit", "--y-model", "orm-logit",
+                    "--boot", "32", "--perm", "99", "--threads", "2", "--seed", "3",
+                    "--out", str(pcor_out)]
+            code = f"from psrkit.cli import run; print(run({fit!r}), run({pcor!r}))"
+            assert _python_stdout(code, threads).split() == ["0", "0"]
+            outputs.append((fit_out.read_bytes(), pcor_out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestFit:

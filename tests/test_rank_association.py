@@ -1,7 +1,7 @@
 """Rank association: bridges to classical Spearman, resampling, batch scan."""
+import concurrent.futures
 import copy
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -361,12 +361,12 @@ def _spy_pools(monkeypatch):
     """The ``max_workers`` of each process pool the module starts."""
     pools = []
 
-    class Spy(ProcessPoolExecutor):
+    class Spy(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(ra, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     return pools
 
 
