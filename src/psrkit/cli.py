@@ -40,6 +40,7 @@ from .data_model import (
     Dataset,
     DesignMatrix,
     MISSING_TOKEN,
+    _open_csv,
     build_design,
     complete_cases,
     load_csv,
@@ -391,7 +392,7 @@ def _cmd_pcor(args) -> int:
 
 def _load_predictors(path: str, n_expected: int, kept: np.ndarray) -> list[Column]:
     """Every column of the predictor file, read as continuous, at the ``kept`` rows."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         header = next(csv.reader(fh), [])
     d = load_csv(path, tuple(ColumnSpec(name, ColumnKind.CONTINUOUS) for name in header))
     if d.n != n_expected:
@@ -577,13 +578,7 @@ def run(argv: list[str]) -> int:
         return 1
     try:
         return args.func(args)
-    except _CliArgumentError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
+    except (OSError, InputError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

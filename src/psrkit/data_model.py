@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -322,6 +323,20 @@ def _is_missing(tok: str) -> bool:
     return tok.strip() in _MISSING_CELLS
 
 
+@contextmanager
+def _open_csv(path):
+    """``path`` opened as UTF-8 text for :mod:`csv`.  A byte that does not
+    decode raises :class:`SchemaError` naming the path and its offset."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # the decoder's input is the bytes read so far that it has not
+            # yet decoded, so it ends at the file's read position
+            offset = fh.buffer.tell() - len(exc.object) + exc.start
+            raise SchemaError(f"{path}: byte {offset} is not UTF-8 text") from None
+
+
 def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
     """Read a CSV file into a :class:`Dataset` following a schema.
 
@@ -329,11 +344,12 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
     reads must appear in the header exactly once.  Cells that are empty or
     ``NA`` (after stripping blanks) are recorded as missing.  Malformed cells
     raise :class:`SchemaError` with the path and the row number (1-based,
-    excluding header).
+    excluding header), and a file that is not UTF-8 with the offset of its
+    first bad byte.
     """
     if isinstance(schema, str):
         schema = parse_schema(schema)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -27,24 +27,26 @@ in every sum of its member (the log-likelihood, the score, the Hessian, the
 start values and the line search's likelihood test), and a row of weight 0,
 such as a missing cell, enters none.  With weights of 1 every product is
 exact, so a 0/1 weight is the same as leaving the row out.  A bootstrap
-replicate of rows ``idx`` is the member with weights ``bincount(idx)``.
-Each member keeps its own step length, ridge, stopping rule and separation
-cap, so a member's fit is, up to rounding, the fit of its rows alone (each
-repeated by its weight); :func:`fit_cumulative_link` is the stack of one
-and :func:`fit_cumulative_link_batch` fits many outcomes or weightings at
-once.  The alpha block of each member's Hessian is tridiagonal because each
-observation couples only its own two adjacent cut points, and every
-member's Newton system, whatever its size, is solved through that
-structure, all members together, in numpy: one odd-even cyclic reduction
-over the stack carries the right-hand sides [g_alpha, h_alpha_beta] along,
-and each member then solves its p x p Schur complement, so one iteration
-costs O(J p + n p + p^3) even when every outcome value is distinct.  Cyclic
-reduction is Gaussian elimination on the odd-even permutation of the alpha
-block and takes its pivots from the diagonal without row exchanges.  That is
-stable because every link offered has a log-concave density, which makes the
-alpha block less its ridge negative definite, and elimination without
-pivoting is stable for a definite matrix.  A zero or non-finite pivot marks
-the member's step as failed, and the member retries with a ridge.
+replicate of rows ``idx`` is the member with weights ``bincount(idx)``.  Each
+member keeps its own step length, ridge, stopping rule and separation cap,
+so a member's fit is, up to rounding, the fit of its rows alone (each
+repeated by its weight); :func:`fit_cumulative_link` is the stack of one and
+:func:`fit_cumulative_link_batch` fits many outcomes or weightings at once.
+A member's separation cap is recorded in its notes; only
+:func:`fit_cumulative_link` also warns of it.  The alpha block of each
+member's Hessian is tridiagonal because each observation couples only its
+own two adjacent cut points, and every member's Newton system, whatever its
+size, is solved through that structure, all members together, in numpy: one
+odd-even cyclic reduction over the stack carries the right-hand sides
+[g_alpha, h_alpha_beta] along, and each member then solves its p x p Schur
+complement, so one iteration costs O(J p + n p + p^3) even when every
+outcome value is distinct.  Cyclic reduction is Gaussian elimination on the
+odd-even permutation of the alpha block and takes its pivots from the
+diagonal without row exchanges.  That is stable because every link offered
+has a log-concave density, which makes the alpha block less its ridge
+negative definite, and elimination without pivoting is stable for a definite
+matrix.  A zero or non-finite pivot marks the member's step as failed, and
+the member retries with a ridge.
 
 Every Newton fit stops on the Newton decrement |g' M^{-1} g| (M the Hessian
 or information matrix), not on the size of the score: once it is at most
@@ -118,7 +120,6 @@ class LinkFamily:
     cumulative probabilities inherit monotonicity from the intercepts.
     """
 
-    name: str
     cdf: Callable[[np.ndarray], np.ndarray]
     #: the survival function 1 - cdf in closed form, exact in the upper tail
     sf: Callable[[np.ndarray], np.ndarray]
@@ -244,28 +245,24 @@ def _loglog_pdf_dpdf(eta):
 
 CUMULATIVE_LINKS: dict[str, LinkFamily] = {
     "logit": LinkFamily(
-        "logit",
         cdf=_expit,
         sf=lambda eta: _expit(-eta),
         pdf_dpdf=_logit_pdf_dpdf,
         quantile=_logit,
     ),
     "probit": LinkFamily(
-        "probit",
         cdf=_ndtr,
         sf=lambda eta: _ndtr(-eta),
         pdf_dpdf=_probit_pdf_dpdf,
         quantile=_ndtri,
     ),
     "cloglog": LinkFamily(
-        "cloglog",
         cdf=_cloglog_cdf,
         sf=lambda eta: np.exp(-np.exp(eta)),
         pdf_dpdf=_cloglog_pdf_dpdf,
         quantile=lambda p: np.log(-np.log1p(-np.asarray(p, dtype=float))),
     ),
     "loglog": LinkFamily(
-        "loglog",
         cdf=_loglog_cdf,
         sf=lambda eta: -np.expm1(-np.exp(-eta)),
         pdf_dpdf=_loglog_pdf_dpdf,
@@ -892,12 +889,6 @@ def _clm_fits(cols, X: DesignMatrix | None, link: str, max_iter: int, weights=No
                 f"after {res.iterations[j]} iterations"
             )
             continue
-        if res.separated[j]:
-            warnings.warn(
-                f"fit of {name!r}: complete separation suspected; "
-                f"coefficients capped at +-{SEPARATION_CAP}",
-                stacklevel=3,
-            )
         out[i] = ModelFit(
             link=link,
             outcome=name,
@@ -937,6 +928,12 @@ def fit_cumulative_link(
     (fit,) = _clm_fits([y], X, link, max_iter)
     if isinstance(fit, PsrKitError):
         raise fit
+    if any(note.startswith("complete separation suspected") for note in fit.notes):
+        warnings.warn(
+            f"fit of {y.name!r}: complete separation suspected; "
+            f"coefficients capped at +-{SEPARATION_CAP}",
+            stacklevel=2,
+        )
     return fit
 
 
@@ -957,10 +954,11 @@ def fit_cumulative_link_batch(
     ``bincount(idx)``); ``n_obs`` is then the sum of the weights.  Returns
     one entry per column: its :class:`ModelFit`, or the :class:`PsrKitError`
     that fitting it alone would raise (a constant column, a fit that does
-    not converge).  Each member warns on separation as a fit of it alone
-    does.  Malformed input (a column kind that is not orderable, a design of
-    another length, weights of another shape or not nonnegative integers)
-    raises :class:`InputError`.
+    not converge).  A member's separation shows only in its ``notes``, which
+    carry the cap that :func:`fit_cumulative_link` would warn of; the batch
+    itself never warns.  Malformed input (a column kind that is not
+    orderable, a design of another length, weights of another shape or not
+    nonnegative integers) raises :class:`InputError`.
     """
     cols = list(columns)
     for col in cols:

@@ -16,7 +16,6 @@ do not depend on evaluation order or worker scheduling.
 """
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
@@ -76,14 +75,12 @@ def _fold_seed(seed: int, *tags: int) -> int:
     return acc
 
 
-def _substream(seed: int | None, *tags: int) -> np.random.Generator:
+def _substream(seed: int, *tags: int) -> np.random.Generator:
     """Counter-based generator for one resampling task.
 
     Independent tasks get independent streams from (seed, tag mix), so a
     batch scan produces identical numbers no matter how many workers run it.
     """
-    if seed is None:
-        raise InputError("a seed is required whenever resampling is requested")
     key = np.array([int(seed) & _MASK64, _fold_seed(0, *tags)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -144,9 +141,9 @@ def _rank_row(fit: ModelFit, col: Column, Z: DesignMatrix | None, i: int):
 
 @dataclass(frozen=True)
 class _MarginModel:
-    """How one margin family fits a column, fits a batch of columns, refits
-    a column on bootstrap resamples, scores every row of a column, and
-    describes one row's fitted distribution.
+    """How one margin family fits a column, refits it on subsets of its rows
+    (a scan predictor's observed rows, a bootstrap resample), scores every
+    row of a column, and describes one row's fitted distribution.
 
     Entries call the fitters, ``psr_all`` and ``predict_distribution`` by
     their module-level names at call time, so replacing one of those names
@@ -158,48 +155,49 @@ class _MarginModel:
     row_distribution: Callable[
         [ModelFit, Column, DesignMatrix | None, int], FittedDistribution
     ] = _model_row
-    #: fits a batch of columns at once, with :meth:`fit_batch`'s contract,
-    #: and with a ``weights`` keyword counts each row that many times; None
-    #: fits each column alone
+    #: ``fit_stack(cols, Z, weights)`` fits a stack of columns at once with
+    #: ``fit_cumulative_link_batch``'s contract; None fits each column alone
     fit_stack: Callable[..., list] | None = None
 
-    def _fit_each(self, Z: DesignMatrix | None, subsets) -> list:
-        """The fit of ``col.take(rows)`` for each ``(col, rows)``, or the
-        :class:`PsrKitError` that fit raised."""
+    def fit_rows(self, cols: Sequence[Column], Z: DesignMatrix | None, rows) -> list:
+        """The fit of ``cols[k].take(rows[k])`` for each k, or the
+        :class:`PsrKitError` that fit raised.
+
+        A stacked fit takes member k as the original rows with frequency
+        weights ``bincount(rows[k])`` (for a scan predictor's observed rows,
+        0 at its missing cells and 1 elsewhere), which is the same fit up to
+        rounding.  A subset whose design a fit alone rejects (it lost a
+        level of a binary term, say) is a failed fit: its
+        :class:`InputError` becomes numeric.
+        """
+        if not rows:
+            return []
+        if self.fit_stack is not None:
+            weights = np.array([np.bincount(r, minlength=c.n) for c, r in zip(cols, rows)])
+            return self.fit_stack(cols, Z, weights)
         out = []
-        for col, rows in subsets:
+        for col, r in zip(cols, rows):
             try:
-                out.append(self.fit(col.take(rows), Z.take(rows) if Z is not None else None))
+                out.append(self.fit(col.take(r), Z.take(r) if Z is not None else None))
+            except InputError as exc:
+                out.append(DegenerateFitError(str(exc)))
             except PsrKitError as exc:
                 out.append(exc)
         return out
 
-    def fit_batch(self, cols: Sequence[Column], Z: DesignMatrix | None) -> list:
-        """Each column's fit on the rows where it is observed, or the
-        :class:`PsrKitError` that fit raised."""
-        if self.fit_stack is not None:
-            return self.fit_stack(cols, Z)
-        return self._fit_each(Z, [(col, np.flatnonzero(~col.missing)) for col in cols])
-
-    def fit_replicates(self, col: Column, Z: DesignMatrix | None, idxs) -> list:
-        """The fit of each bootstrap resample ``col.take(idx)`` for ``idx`` in
-        ``idxs``, or the :class:`PsrKitError` that fit raised.  A stacked fit
-        takes the resample as the original rows with frequency weights
-        ``bincount(idx)``, which is the same fit up to rounding.  A resample
-        whose design the fit rejects (it lost a level of a binary term, say)
-        is a failed replicate: its :class:`InputError` becomes numeric."""
-        if self.fit_stack is not None:
-            weights = np.array([np.bincount(idx, minlength=col.n) for idx in idxs])
-            return self.fit_stack([col] * len(idxs), Z, weights=weights)
-        fits = self._fit_each(Z, [(col, idx) for idx in idxs])
-        return [DegenerateFitError(str(f)) if isinstance(f, InputError) else f for f in fits]
+    def rows_psr(self, fit, col: Column, Z: DesignMatrix | None, rows) -> PsrVector:
+        """Residuals of ``col.take(rows)`` under its :meth:`fit_rows` fit;
+        raises the error of a failed fit."""
+        if isinstance(fit, PsrKitError):
+            raise fit
+        return self.residuals(fit, col.take(rows), Z.take(rows) if Z is not None else None)
 
 
 #: the margin families: ``empirical`` ignores Z entirely; ``linear`` uses
 #: normal-theory residuals from least squares; ``linear-empirical`` ranks
 #: the least-squares residuals against their own empirical distribution;
-#: ``orm-*`` are cumulative-link fits, whose batches and bootstrap refits
-#: are one stacked fit; ``poisson`` and ``exp-surv`` are the log-link count
+#: ``orm-*`` are cumulative-link fits, whose :meth:`_MarginModel.fit_rows`
+#: is one stacked fit; ``poisson`` and ``exp-surv`` are the log-link count
 #: and censored exponential models.
 _MARGINS: dict[str, _MarginModel] = {
     "empirical": _MarginModel(
@@ -214,8 +212,8 @@ _MARGINS: dict[str, _MarginModel] = {
     **{
         f"orm-{link}": _MarginModel(
             lambda col, Z, link=link: fit_cumulative_link(col, Z, link),
-            fit_stack=lambda cols, Z, link=link, **kw: fit_cumulative_link_batch(
-                cols, Z, link, **kw
+            fit_stack=lambda cols, Z, weights, link=link: fit_cumulative_link_batch(
+                cols, Z, link, weights=weights
             ),
         )
         for link in CUMULATIVE_LINKS
@@ -363,23 +361,19 @@ def _boot_block(idxs, x, y, Z, x_model, y_model, stat) -> list[tuple[object, boo
     replicate counts as capped when a refit made before that point capped.
     """
     x_margin, y_margin = _MARGINS[x_model], _MARGINS[y_model]
-    with warnings.catch_warnings():
-        # a refit's notes carry its separation into the capped count
-        warnings.filterwarnings("ignore", ".*complete separation suspected")
-        x_fits = x_margin.fit_replicates(x, Z, idxs)
-        y_fits = y_margin.fit_replicates(y, Z, idxs)
+    x_fits = x_margin.fit_rows([x] * len(idxs), Z, idxs)
+    y_fits = y_margin.fit_rows([y] * len(idxs), Z, idxs)
     out = []
     for idx, x_fit, y_fit in zip(idxs, x_fits, y_fits):
-        zb = Z.take(idx) if Z is not None else None
         was_capped = False
         draw = None
         try:
             psr = []
             for margin, col, fit in ((x_margin, x, x_fit), (y_margin, y, y_fit)):
-                if isinstance(fit, PsrKitError):
-                    raise fit
-                was_capped |= any(_CAPPED in note for note in fit.notes)
-                psr.append(margin.residuals(fit, col.take(idx), zb).values)
+                was_capped |= isinstance(fit, ModelFit) and any(
+                    _CAPPED in note for note in fit.notes
+                )
+                psr.append(margin.rows_psr(fit, col, Z, idx).values)
             draw = stat(*psr, idx)
         except NumericError:
             pass
@@ -416,16 +410,21 @@ def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat, workers):
     return lo.tolist(), hi.tolist(), n_boot - len(draws), capped
 
 
-def _check_draws(n_boot: int = 0, n_perm: int = 0, workers: int = 1) -> None:
+def _check_draws(
+    n_boot: int = 0, n_perm: int = 0, workers: int = 1, seed: int | None = None
+) -> None:
     """Reject draw counts that give no p-value or interval (a negative count,
-    or one bootstrap replicate, which can never leave 2 usable) and a worker
-    count below 1."""
+    or one bootstrap replicate, which can never leave 2 usable), a worker
+    count below 1, and resampling without a seed.  Callers check before
+    fitting anything, so a bad request is an input error, not a failed fit."""
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
     if n_perm < 0:
         raise InputError(f"n_perm must be >= 0, got {n_perm}")
     if n_boot < 0 or n_boot == 1:
         raise InputError(f"n_boot must be 0 or at least 2, got {n_boot}")
+    if (n_boot or n_perm) and seed is None:
+        raise InputError("a seed is required whenever resampling is requested")
 
 
 def _resampled_results(
@@ -433,7 +432,7 @@ def _resampled_results(
 ) -> list[AssocResult]:
     """One result per output of ``stat``; ``tags`` prefix the substream tags,
     and ``workers`` processes share out the bootstrap's blocks."""
-    _check_draws(n_boot, n_perm, workers)
+    _check_draws(n_boot, n_perm, workers, seed)
     u = margin_psr(x, Z, x_model).values
     v = margin_psr(y, Z, y_model).values
     observed = stat(u, v, None)
@@ -717,48 +716,42 @@ def _scan_block(block, ypsr, Z, x_model, n_perm, seed) -> list[ScanRow]:
     block draws its permutations from the substream (seed, scan, start + k)."""
     start, cols = block
     margin = _MARGINS[x_model]
+    observed = [np.flatnonzero(~col.missing) for col in cols]
     rows: list[ScanRow | None] = [None] * len(cols)
     fitted = []
     for k, col in enumerate(cols):
-        n_used = int(np.count_nonzero(~col.missing))
+        n_used = observed[k].size
         if n_used < 3:
             rows[k] = ScanRow(
                 col.name, np.nan, np.nan, n_used, "failed", "fewer than 3 observations"
             )
-        elif float(np.std(col.values[~col.missing])) == 0.0:
+        elif float(np.std(col.values[observed[k]])) == 0.0:
             rows[k] = ScanRow(
                 col.name, np.nan, np.nan, n_used, "degenerate",
                 "predictor is constant on its observed rows",
             )
         else:
             fitted.append(k)
-    with warnings.catch_warnings():
-        # the fit's notes carry a separation into ``detail``
-        warnings.filterwarnings("ignore", ".*complete separation suspected")
-        fits = margin.fit_batch([cols[k] for k in fitted], Z)
+    fits = margin.fit_rows([cols[k] for k in fitted], Z, [observed[k] for k in fitted])
     for k, fit in zip(fitted, fits):
-        rows[k] = _scan_row(cols[k], start + k, fit, margin, ypsr, Z, n_perm, seed)
+        rows[k] = _scan_row(cols[k], observed[k], start + k, fit, margin, ypsr, Z, n_perm, seed)
     return rows
 
 
-def _scan_row(col, idx, fit, margin, ypsr, Z, n_perm, seed) -> ScanRow:
-    """Residuals, estimate and p-value of one predictor from its x-margin fit."""
-    mask = ~col.missing
-    rows = np.flatnonzero(mask)
-    n_used = rows.size
+def _scan_row(col, observed, idx, fit, margin, ypsr, Z, n_perm, seed) -> ScanRow:
+    """Residuals, estimate and p-value of one predictor from its x-margin
+    fit on its ``observed`` rows."""
+    n_used = observed.size
     try:
-        if isinstance(fit, PsrKitError):
-            raise fit
-        r = margin.residuals(fit, col.take(rows), Z.take(rows) if Z is not None else None)
+        u = margin.rows_psr(fit, col, Z, observed).values
     except PsrKitError as exc:
         return ScanRow(col.name, np.nan, np.nan, n_used, "failed", str(exc))
-    u = r.values
     if float(np.std(u)) < 1e-6:
         return ScanRow(
             col.name, np.nan, np.nan, n_used, "degenerate",
             "predictor residuals have (near) zero variance given Z",
         )
-    v = ypsr[mask]
+    v = ypsr[observed]
     try:
         est = _pearson(u, v)
     except DegenerateFitError as exc:
@@ -789,9 +782,7 @@ def batch_partial_spearman(
     breaking ties; with ``n_perm`` = 0 no draw is made, every p-value is NaN
     and the ranking is by |estimate|.
     """
-    _check_draws(n_perm=config.n_perm, workers=config.workers)
-    if config.n_perm and config.seed is None:
-        raise InputError("a seed is required whenever resampling is requested")
+    _check_draws(n_perm=config.n_perm, workers=config.workers, seed=config.seed)
     if config.x_model not in _MARGINS:
         raise InputError(
             f"unknown margin model {config.x_model!r}; choose from {MARGIN_MODELS}"
@@ -851,9 +842,7 @@ def correlation_matrix(
     k = len(names)
     if k < 2:
         raise InputError("a correlation matrix needs at least 2 columns")
-    _check_draws(n_perm=n_perm)
-    if n_perm and seed is None:
-        raise InputError("a seed is required whenever resampling is requested")
+    _check_draws(n_perm=n_perm, seed=seed)
     est = np.eye(k)
     pval = np.full((k, k), np.nan)
     notes: list[str] = []

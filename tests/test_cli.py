@@ -111,6 +111,49 @@ class TestTopLevel:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @staticmethod
+    def _input_error(code, capsys):
+        """The stderr of a run that must end in a plain input error."""
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("psr-kit: error:")
+        assert "Traceback" not in err
+        return err
+
+    def test_data_is_a_directory(self, tmp_path, capsys):
+        code = run(
+            ["fit", "--data", str(tmp_path), "--schema", "y:continuous",
+             "--model", "empirical(y ~ 1)"]
+        )
+        self._input_error(code, capsys)
+
+    def test_out_is_a_directory(self, table, tmp_path, capsys):
+        code = run(
+            ["fit", "--data", table, "--schema", SCHEMA,
+             "--model", "linear(y ~ age)", "--out", str(tmp_path)]
+        )
+        self._input_error(code, capsys)
+
+    def test_data_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"y,age\n1.0,2.0\ncaf\xe9,3.0\n")
+        code = run(
+            ["fit", "--data", str(bad), "--schema", "y:continuous",
+             "--model", "empirical(y ~ 1)"]
+        )
+        err = self._input_error(code, capsys)
+        assert f"{bad}: byte 17 " in err
+
+    def test_predictors_not_utf8(self, table, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"p\xe9\n" + b"1.0\n" * 40)
+        code = run(
+            ["scan", "--data", table, "--schema", SCHEMA, "--y", "y",
+             "--predictors", str(bad), "--perm", "9", "--seed", "1"]
+        )
+        err = self._input_error(code, capsys)
+        assert f"{bad}: byte 1 " in err
+
     def test_import_leaves_out_scipy(self):
         code = "import sys, psrkit.cli; print('scipy' in sys.modules)"
         assert _python_stdout(code).strip() == "False"
@@ -586,15 +629,15 @@ class TestPcor:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_worker_input_error_exits_1(self, table, monkeypatch, tmp_path, capsys, threads):
-        real = ra._MarginModel.fit_replicates
+        real = ra._MarginModel.fit_rows
 
-        def flaky(self, col, Z, idxs):
+        def flaky(self, cols, Z, rows):
             # fails by replicate content, so every worker count fails the same ones
-            fits = real(self, col, Z, idxs)
+            fits = real(self, cols, Z, rows)
             return [InputError("injected") if idx.sum() % 5 == 0 else f
-                    for idx, f in zip(idxs, fits)]
+                    for idx, f in zip(rows, fits)]
 
-        monkeypatch.setattr(ra._MarginModel, "fit_replicates", flaky)
+        monkeypatch.setattr(ra._MarginModel, "fit_rows", flaky)
         assert self._pcor_blocks(table, monkeypatch, tmp_path, threads) == (1, None)
         assert capsys.readouterr().err == "psr-kit: error: injected\n"
 

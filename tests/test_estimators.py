@@ -448,10 +448,14 @@ class TestStackedFit:
         _assert_same_fit(last, _alone(cols[1], Z))
         assert first.converged and last.converged
 
-    def test_separation_warns_per_member(self):
+    def test_separation_in_member_notes_not_warnings(self):
         cols, Z = _panel(1)
-        with pytest.warns(UserWarning, match="'separated': complete separation"):
-            fit_cumulative_link_batch(cols[6:8], Z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = fit_cumulative_link_batch(cols[6:8], Z)
+        separated, many = fits
+        assert any("complete separation suspected" in n for n in separated.notes)
+        assert not any("separation" in n for n in many.notes)
 
     def test_malformed_input_raises(self):
         cols, Z = _panel(1)

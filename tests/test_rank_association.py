@@ -132,6 +132,13 @@ class TestPartialSpearman:
         with pytest.raises(InputError, match="seed"):
             partial_spearman(cx, cy, None)  # default resampling, no seed
 
+    def test_seed_checked_before_the_margins_are_fitted(self):
+        # a constant x would fail its fit; the missing seed is reported first
+        cx = Column.continuous("x", np.ones(10))
+        cy = Column.continuous("y", np.arange(10.0))
+        with pytest.raises(InputError, match="seed"):
+            partial_spearman(cx, cy, None, n_boot=0, n_perm=99)
+
     def test_ci_brackets_estimate_and_positive_signal_detected(self):
         rng = np.random.default_rng(11)
         n = 250
@@ -323,11 +330,11 @@ def _fail_x_refits(monkeypatch, failing):
     """Make the replicate fitter return a NumericError for the x refit of
     each bootstrap replicate whose 1-based number is in ``failing``."""
     done = [0]
-    real = ra._MarginModel.fit_replicates
+    real = ra._MarginModel.fit_rows
 
-    def flaky(self, col, Z, idxs):
-        fits = real(self, col, Z, idxs)
-        if col.name != "x":
+    def flaky(self, cols, Z, rows):
+        fits = real(self, cols, Z, rows)
+        if cols[0].name != "x":
             return fits
         first = done[0]
         done[0] += len(fits)
@@ -336,25 +343,25 @@ def _fail_x_refits(monkeypatch, failing):
             for k, fit in enumerate(fits)
         ]
 
-    monkeypatch.setattr(ra._MarginModel, "fit_replicates", flaky)
+    monkeypatch.setattr(ra._MarginModel, "fit_rows", flaky)
 
 
 def _fail_x_refits_by_rows(monkeypatch, error):
     """Make the x refit of each bootstrap replicate whose row indices sum to
     a multiple of 5 an ``error("injected refit failure")``.  The choice
     depends on the replicate alone, so worker processes make the same one."""
-    real = ra._MarginModel.fit_replicates
+    real = ra._MarginModel.fit_rows
 
-    def flaky(self, col, Z, idxs):
-        fits = real(self, col, Z, idxs)
-        if col.name != "x":
+    def flaky(self, cols, Z, rows):
+        fits = real(self, cols, Z, rows)
+        if cols[0].name != "x":
             return fits
         return [
             error("injected refit failure") if int(idx.sum()) % 5 == 0 else fit
-            for idx, fit in zip(idxs, fits)
+            for idx, fit in zip(rows, fits)
         ]
 
-    monkeypatch.setattr(ra._MarginModel, "fit_replicates", flaky)
+    monkeypatch.setattr(ra._MarginModel, "fit_rows", flaky)
 
 
 def _spy_pools(monkeypatch):
@@ -748,10 +755,10 @@ class TestBatchScan:
         x = Column.continuous("x", (age_z > 0).astype(float))
         real = ra.fit_cumulative_link_batch
 
-        def noisy(cols, Z, link):
+        def noisy(cols, Z, link, **kw):
             if any(col.name == "x" for col in cols):
                 warnings.warn("an unrelated fit warning")
-            return real(cols, Z, link)
+            return real(cols, Z, link, **kw)
 
         monkeypatch.setattr(ra, "fit_cumulative_link_batch", noisy)
         with warnings.catch_warnings(record=True) as caught:
@@ -759,6 +766,16 @@ class TestBatchScan:
             (row,) = batch_partial_spearman(y, Z, [x], ScanConfig(n_perm=9, seed=5))
         assert "capped" in row.detail
         assert [str(w.message) for w in caught] == ["an unrelated fit warning"]
+
+    @pytest.mark.parametrize("x_model", ["orm-logit", "linear"])
+    def test_block_of_constant_predictors(self, x_model):
+        rng = np.random.default_rng(25)
+        y, Z, _ = self._setup(rng, n=50, n_null=0)
+        flat = [Column.continuous(f"flat{k}", np.full(50, float(k))) for k in range(3)]
+        rows = batch_partial_spearman(
+            y, Z, flat, ScanConfig(x_model=x_model, n_perm=9, seed=5)
+        )
+        assert [(r.name, r.status) for r in rows] == [(c.name, "degenerate") for c in flat]
 
     def test_seed_required(self):
         rng = np.random.default_rng(23)
