@@ -38,7 +38,6 @@ from .data_model import (
     ColumnKind,
     ColumnSpec,
     Dataset,
-    DesignMatrix,
     MISSING_TOKEN,
     _open_csv,
     build_design,
@@ -52,6 +51,7 @@ from .rank_association import (
     _MARGINS,
     MARGIN_MODELS,
     ScanConfig,
+    _check_draws,
     _margin_fit,
     batch_partial_spearman,
     correlation_matrix,
@@ -62,24 +62,10 @@ from .rank_association import (
 
 PROG = "psr-kit"
 
-__all__ = ["main", "run", "emit_correlation_matrix"]
+__all__ = ["main", "run"]
 
-
-def _require_seed(seed: int | None, resampling: bool) -> None:
-    if resampling and seed is None:
-        raise InputError("a --seed is required whenever resampling is requested")
-
-
-def _check_draws(args) -> None:
-    """Reject draw counts that give no p-value or interval, and fewer than one
-    worker process, before any file is read."""
-    if args.perm < 0:
-        raise InputError("--perm must be >= 0")
-    boot = getattr(args, "boot", 0)
-    if boot < 0 or boot == 1:
-        raise InputError("--boot must be 0 or at least 2")
-    if args.threads < 1:
-        raise InputError("--threads must be >= 1")
+#: the flag that sets each of ``rank_association._check_draws``'s parameters
+_DRAW_FLAGS = {"n_boot": "--boot", "n_perm": "--perm", "workers": "--threads", "seed": "--seed"}
 
 
 def _usable_cpus() -> int:
@@ -304,30 +290,6 @@ def _cmd_diag(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def emit_correlation_matrix(
-    d: Dataset,
-    biomarkers: list[str],
-    Z: DesignMatrix | None,
-    *,
-    n_perm: int,
-    seed: int | None,
-) -> tuple[str, str, list[str]]:
-    """CSV matrices of pairwise rank correlations.
-
-    Returns (estimate CSV, p-value CSV, notes).  Upper triangle holds
-    unadjusted estimates, lower triangle the Z-adjusted ones, diagonal 1.
-    """
-    names, est, pval, notes = correlation_matrix(
-        d, biomarkers, Z, n_perm=n_perm, seed=seed
-    )
-    est_rows = [[""] + names]
-    p_rows = [[""] + names]
-    for i, nm in enumerate(names):
-        est_rows.append([nm] + [_fmt_value(v) for v in est[i]])
-        p_rows.append([nm] + [_fmt_value(v) for v in pval[i]])
-    return _csv_text(est_rows), _csv_text(p_rows), notes
-
-
 def _assoc_csv(res, x_name, y_name, x_model, y_model) -> str:
     rows = [
         [
@@ -345,31 +307,34 @@ def _assoc_csv(res, x_name, y_name, x_model, y_model) -> str:
 
 
 def _cmd_pcor(args) -> int:
-    _check_draws(args)
+    n_boot = 0 if args.matrix else args.boot
+    _check_draws(n_boot, args.perm, args.threads, args.seed, flags=_DRAW_FLAGS)
+    zterms = parse_term_list(args.z)
     if args.matrix:
+        for flag in ("x", "y", "x_model", "y_model"):
+            if getattr(args, flag) is not None:
+                raise InputError(f"--{flag.replace('_', '-')} cannot be used with --matrix")
         if not args.cols:
             raise InputError("--matrix needs --cols with at least two column names")
         cols = [c.strip() for c in args.cols.split(",") if c.strip()]
-        _require_seed(args.seed, args.perm > 0)
-        zterms = parse_term_list(args.z)
-        d, _, _ = _load_complete(
-            args.data, args.schema, [t.name for t in zterms]
-        )
+        d, _, _ = _load_complete(args.data, args.schema, [t.name for t in zterms])
         Z = build_design(d, zterms) if zterms else None
-        est_text, p_text, notes = emit_correlation_matrix(
-            d, cols, Z, n_perm=args.perm, seed=args.seed
-        )
-        _write_text(args.out, est_text)
+        # upper triangle unadjusted, lower triangle Z-adjusted, diagonal 1
+        names, est, pval, notes = correlation_matrix(d, cols, Z, n_perm=args.perm, seed=args.seed)
+
+        def matrix_csv(values) -> str:
+            rows = [[nm] + [_fmt_value(v) for v in values[i]] for i, nm in enumerate(names)]
+            return _csv_text([[""] + names] + rows)
+
+        _write_text(args.out, matrix_csv(est))
         if args.pout:
-            _write_text(args.pout, p_text)
+            _write_text(args.pout, matrix_csv(pval))
         for note in notes:
             print(f"{PROG}: note: {note}", file=sys.stderr)
         return 0
 
     if not args.x or not args.y:
         raise InputError("pcor needs --x and --y (or --matrix with --cols)")
-    _require_seed(args.seed, args.boot > 0 or args.perm > 0)
-    zterms = parse_term_list(args.z)
     needed = [args.x, args.y] + [t.name for t in zterms]
     d, _, _ = _load_complete(args.data, args.schema, needed)
     Z = build_design(d, zterms) if zterms else None
@@ -403,8 +368,7 @@ def _load_predictors(path: str, n_expected: int, kept: np.ndarray) -> list[Colum
 
 
 def _cmd_scan(args) -> int:
-    _check_draws(args)
-    _require_seed(args.seed, args.perm > 0)
+    _check_draws(0, args.perm, args.threads, args.seed, flags=_DRAW_FLAGS)
     zterms = parse_term_list(args.z)
     needed = [args.y] + [t.name for t in zterms]
     d, kept, removed = _load_complete(args.data, args.schema, needed)
@@ -513,8 +477,7 @@ def build_parser() -> _Parser:
     p_diag.set_defaults(func=_cmd_diag)
 
     p_pcor = sub.add_parser("pcor", help="rank correlation adjusted for covariates")
-    p_pcor.add_argument("--data", required=True, help="input CSV path")
-    p_pcor.add_argument("--schema", required=True, help="column declarations")
+    _add_common(p_pcor, model_flag=None)
     p_pcor.add_argument("--x", help="first column")
     p_pcor.add_argument("--y", help="second column")
     p_pcor.add_argument(
@@ -538,8 +501,7 @@ def build_parser() -> _Parser:
     p_pcor.set_defaults(func=_cmd_pcor)
 
     p_scan = sub.add_parser("scan", help="scan many predictors against one outcome")
-    p_scan.add_argument("--data", required=True, help="input CSV path")
-    p_scan.add_argument("--schema", required=True, help="column declarations")
+    _add_common(p_scan, model_flag=None)
     p_scan.add_argument("--y", required=True, help="outcome column")
     p_scan.add_argument("--z", default="", help="comma-separated adjustment terms")
     p_scan.add_argument("--predictors", required=True, metavar="PATH",

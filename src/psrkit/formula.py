@@ -83,6 +83,22 @@ def _parse_term(text: str) -> Term | None:
     return Term(_parse_name(t, "column name"))
 
 
+def _parse_terms(text: str, sep: str) -> tuple[Term, ...]:
+    """The terms of a ``sep``-separated list.  ``1`` alone means no terms and
+    cannot be combined with another term; no term may repeat."""
+    parsed = [_parse_term(p) for p in _split_outside_parens(text, sep, ModelSpecError)]
+    terms = tuple(t for t in parsed if t is not None)
+    if terms and len(terms) < len(parsed):
+        raise ModelSpecError("'1' (intercept only) cannot be combined with other terms")
+    seen = set()
+    for term in terms:
+        key = term.describe()
+        if key in seen:
+            raise ModelSpecError(f"duplicate term {key!r}")
+        seen.add(key)
+    return terms
+
+
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse ``family(outcome ~ terms)`` into a :class:`ModelSpec`."""
     s = text.strip()
@@ -102,27 +118,10 @@ def parse_model_spec(text: str) -> ModelSpec:
     lhs, rhs = inner.split("~")
     outcome = _parse_name(lhs, "outcome name")
 
-    terms: list[Term] = []
-    intercept_only = False
-    for piece in _split_outside_parens(rhs, "+", ModelSpecError):
-        term = _parse_term(piece)
-        if term is None:
-            intercept_only = True
-        else:
-            terms.append(term)
-    if intercept_only and terms:
-        raise ModelSpecError("'1' (intercept only) cannot be combined with other terms")
-    if not intercept_only and not terms:
-        raise ModelSpecError("model spec has an empty right-hand side")
-    seen = set()
-    for term in terms:
-        key = term.describe()
-        if key in seen:
-            raise ModelSpecError(f"duplicate term {key!r}")
-        seen.add(key)
+    terms = _parse_terms(rhs, "+")
     if family == "empirical" and terms:
         raise ModelSpecError("the empirical family ignores covariates; write empirical(y ~ 1)")
-    return ModelSpec(family=family, outcome=outcome, terms=tuple(terms))
+    return ModelSpec(family=family, outcome=outcome, terms=terms)
 
 
 def parse_term_list(text: str) -> tuple[Term, ...]:
@@ -132,18 +131,7 @@ def parse_term_list(text: str) -> tuple[Term, ...]:
     """
     if text is None or not text.strip():
         return ()
-    terms: list[Term] = []
-    seen = set()
-    for piece in _split_outside_parens(text, ",", ModelSpecError):
-        term = _parse_term(piece)
-        if term is None:
-            continue
-        key = term.describe()
-        if key in seen:
-            raise ModelSpecError(f"duplicate term {key!r}")
-        seen.add(key)
-        terms.append(term)
-    return tuple(terms)
+    return _parse_terms(text, ",")
 
 
 def design_for_spec(spec: ModelSpec, d: Dataset) -> tuple[Column, DesignMatrix | None]:

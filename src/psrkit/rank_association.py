@@ -254,12 +254,17 @@ def default_margin_model(col: Column, Z: DesignMatrix | None) -> str:
     return "orm-logit"
 
 
-def _check_pair(x: Column, y: Column) -> None:
+def _check_pair(x: Column, y: Column, Z: DesignMatrix | None = None) -> DesignMatrix | None:
+    """Check that x, y and Z have one length and x and y no missing value;
+    returns Z, or None when Z has no columns."""
     if x.n != y.n:
         raise InputError("columns have different lengths")
     for c in (x, y):
         if c.missing.any():
             raise InputError(f"column {c.name!r} has missing values; run complete_cases first")
+    if Z is not None and Z.n != x.n:
+        raise InputError("Z does not align with x and y")
+    return Z if Z is not None and Z.p else None
 
 
 def _pearson(u: np.ndarray, v: np.ndarray, rows=None):
@@ -392,8 +397,6 @@ def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat, workers):
     replicate order, so the result does not depend on ``workers``.
     """
     n = x.n
-    if Z is not None and Z.p == 0:
-        Z = None
     block = max(1, _BOOT_BLOCK_CELLS // n)
     starts = range(0, n_boot, block)
     blocks = (
@@ -411,20 +414,25 @@ def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat, workers):
 
 
 def _check_draws(
-    n_boot: int = 0, n_perm: int = 0, workers: int = 1, seed: int | None = None
+    n_boot: int = 0, n_perm: int = 0, workers: int = 1, seed: int | None = None, flags=None
 ) -> None:
     """Reject draw counts that give no p-value or interval (a negative count,
     or one bootstrap replicate, which can never leave 2 usable), a worker
     count below 1, and resampling without a seed.  Callers check before
-    fitting anything, so a bad request is an input error, not a failed fit."""
+    fitting anything, so a bad request is an input error, not a failed fit.
+    ``flags`` maps each parameter name to the command-line flag that set it,
+    which the message then names."""
+    def flag(name: str) -> str:
+        return f" ({flags[name]})" if flags else ""
+
     if workers < 1:
-        raise InputError(f"workers must be >= 1, got {workers}")
+        raise InputError(f"workers must be >= 1, got {workers}{flag('workers')}")
     if n_perm < 0:
-        raise InputError(f"n_perm must be >= 0, got {n_perm}")
+        raise InputError(f"n_perm must be >= 0, got {n_perm}{flag('n_perm')}")
     if n_boot < 0 or n_boot == 1:
-        raise InputError(f"n_boot must be 0 or at least 2, got {n_boot}")
+        raise InputError(f"n_boot must be 0 or at least 2, got {n_boot}{flag('n_boot')}")
     if (n_boot or n_perm) and seed is None:
-        raise InputError("a seed is required whenever resampling is requested")
+        raise InputError(f"a seed{flag('seed')} is required whenever resampling is requested")
 
 
 def _resampled_results(
@@ -516,9 +524,7 @@ def partial_spearman(
     :func:`spearman`.  ``workers`` processes share out the bootstrap's
     blocks of replicates; the result is the same at every worker count.
     """
-    _check_pair(x, y)
-    if Z is not None and Z.n != x.n:
-        raise InputError("Z does not align with x and y")
+    Z = _check_pair(x, y, Z)
     return _resampled_results(
         x, y, Z,
         x_model or default_margin_model(x, Z),
@@ -544,9 +550,7 @@ def psr_covariance(
     Shares the sign and the zero of the correlation-based estimate but keeps
     the raw probability-scale units.
     """
-    _check_pair(x, y)
-    if Z is not None and Z.n != x.n:
-        raise InputError("Z does not align with x and y")
+    Z = _check_pair(x, y, Z)
     return _resampled_results(
         x, y, Z,
         x_model or default_margin_model(x, Z),

@@ -584,22 +584,58 @@ class TestPcor:
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--perm", "-5"], ["--boot", "-1"], ["--boot", "1"], ["--threads", "0"],
-         ["--matrix", "--cols", "a,b", "--perm", "-5"],
-         ["--matrix", "--cols", "a,b", "--threads", "0"]],
+        "flags, message",
+        [(["--perm", "-5"], "n_perm must be >= 0, got -5 (--perm)"),
+         (["--boot", "-1"], "n_boot must be 0 or at least 2, got -1 (--boot)"),
+         (["--boot", "1"], "n_boot must be 0 or at least 2, got 1 (--boot)"),
+         (["--threads", "0"], "workers must be >= 1, got 0 (--threads)"),
+         (["--matrix", "--cols", "a,b", "--perm", "-5"], "n_perm must be >= 0, got -5 (--perm)"),
+         (["--matrix", "--cols", "a,b", "--threads", "0"],
+          "workers must be >= 1, got 0 (--threads)")],
         ids=["perm-negative", "boot-negative", "boot-one", "threads-zero",
              "matrix-perm-negative", "matrix-threads-zero"],
     )
-    def test_bad_draw_counts_rejected_before_reading(self, tmp_path, capsys, flags):
+    def test_bad_draw_counts_rejected_before_reading(self, tmp_path, capsys, flags, message):
         absent = str(tmp_path / "absent.csv")
         code = run(
             ["pcor", "--data", absent, "--schema", SCHEMA, "--x", "age", "--y", "y",
              "--boot", "0", "--perm", "0", "--seed", "3"] + flags
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert flags[-2] in err and "absent" not in err
+        assert capsys.readouterr().err == f"psr-kit: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--matrix", "--x", "nope"], "--x cannot be used with --matrix"),
+         (["--matrix", "--y", "nope"], "--y cannot be used with --matrix"),
+         (["--matrix", "--x-model", "linear"], "--x-model cannot be used with --matrix"),
+         (["--matrix", "--y-model", "poisson"], "--y-model cannot be used with --matrix"),
+         (["--x", "age", "--y", "y", "--z", "1,age"],
+          "'1' (intercept only) cannot be combined with other terms"),
+         (["--x", "age", "--y", "y", "--perm", "9"],
+          "a seed (--seed) is required whenever resampling is requested")],
+        ids=["matrix-x", "matrix-y", "matrix-x-model", "matrix-y-model", "z-one-and-term",
+             "seed-missing"],
+    )
+    def test_bad_request_rejected_before_reading(self, tmp_path, capsys, flags, message):
+        absent = str(tmp_path / "absent.csv")
+        code = run(
+            ["pcor", "--data", absent, "--schema", SCHEMA, "--cols", "a,b", "--z", "age",
+             "--boot", "0", "--perm", "0"] + flags
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"psr-kit: error: {message}\n"
+
+    def test_matrix_draws_no_bootstrap_and_needs_no_seed_without_perm(self, table, capsys):
+        # --boot is ignored with --matrix, so --boot 1 is no error there
+        for boot in ([], ["--boot", "1"]):
+            code = run(
+                ["pcor", "--data", table, "--schema", SCHEMA,
+                 "--matrix", "--cols", "y,age", "--perm", "0"] + boot
+            )
+            assert code == 0
+            rows = _parse_csv(capsys.readouterr().out)
+            assert rows[0] == ["", "y", "age"] and rows[1][2] != "NA"
 
     @pytest.mark.parametrize("sub", ["pcor", "scan"])
     def test_threads_default_is_the_usable_cpus(self, sub):
@@ -798,7 +834,9 @@ class TestScan:
              "--predictors", preds, "--perm", "9"]
         )
         assert code == 1
-        assert "seed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "psr-kit: error: a seed (--seed) is required whenever resampling is requested\n"
+        )
 
     def test_threads_below_one_rejected(self, table, tmp_path, capsys):
         preds = self._predictors(tmp_path / "p.csv")
@@ -816,8 +854,7 @@ class TestScan:
              "--predictors", absent, "--perm", "-3", "--seed", "1"]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert "--perm" in err and "absent" not in err
+        assert capsys.readouterr().err == "psr-kit: error: n_perm must be >= 0, got -3 (--perm)\n"
 
     def test_non_numeric_predictor_cell(self, table, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -64,6 +64,8 @@ class TestParse:
             "orm-logit(y ~ rcs(x,8))",  # too many knots
             "orm-logit(y ~ sqrt(x))",  # unknown transform
             "orm-logit(y ~ )",  # empty term
+            "orm-logit(y ~)",  # empty term
+            "orm-logit(y ~ + )",  # empty terms
             "orm-logit( ~ x)",  # empty outcome
             "orm-logit(2y ~ x)",  # invalid name
             "empirical(y ~ x)",  # empirical takes no terms
@@ -97,6 +99,15 @@ class TestParseTermList:
     def test_duplicates_rejected(self):
         with pytest.raises(ModelSpecError, match="duplicate"):
             parse_term_list("a,a")
+
+    @pytest.mark.parametrize("text", ["1,age", "age,1"])
+    def test_intercept_with_terms_rejected_as_in_a_model_spec(self, text):
+        with pytest.raises(ModelSpecError) as in_list:
+            parse_term_list(text)
+        with pytest.raises(ModelSpecError) as in_spec:
+            parse_model_spec("linear(y ~ 1 + age)")
+        assert str(in_list.value) == str(in_spec.value)
+        assert "'1' (intercept only)" in str(in_list.value)
 
     def test_unbalanced_parentheses_rejected(self):
         with pytest.raises(ModelSpecError, match="unbalanced"):

@@ -160,6 +160,21 @@ class TestPartialSpearman:
         assert res.resampling[0].n_draws == 50
         assert res.resampling[0].seed == 1
 
+    @pytest.mark.parametrize("estimator", [partial_spearman, psr_covariance])
+    def test_design_with_no_columns_is_no_design(self, estimator):
+        # estimate, interval, p-value and notes are the ones without Z, bit for bit
+        rng = np.random.default_rng(12)
+        n = 80
+        x = np.round(rng.normal(0, 1, n), 1)
+        cx = Column.continuous("x", x)
+        cy = Column.continuous("y", 0.5 * x + rng.normal(0, 1, n))
+        empty = DesignMatrix(np.zeros((n, 0)), ())
+        kw = dict(x_model="orm-logit", y_model="linear", n_boot=40, n_perm=40, seed=5)
+        with_empty = estimator(cx, cy, empty, **kw)
+        without = estimator(cx, cy, None, **kw)
+        assert with_empty.ci_low < with_empty.estimate < with_empty.ci_high
+        assert with_empty == without
+
     @pytest.mark.parametrize("y_model", ["linear", "exp-surv"])
     def test_replicate_that_loses_a_binary_level_fails_alone(self, y_model):
         # two of 40 rows carry z = 1, so about one resample in eight has a
