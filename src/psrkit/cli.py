@@ -48,10 +48,10 @@ from .exceptions import InputError, NumericError
 from .formula import design_for_spec, fit_spec, parse_model_spec, parse_term_list
 from .psr import normal_transform
 from .rank_association import (
-    _MARGINS,
     MARGIN_MODELS,
     ScanConfig,
     _check_draws,
+    _margin,
     _margin_fit,
     batch_partial_spearman,
     correlation_matrix,
@@ -204,7 +204,7 @@ def _cmd_psr(args) -> int:
     _write_text(args.out, _csv_text(rows))
 
     if args.dump_dist:
-        row_distribution = _MARGINS[spec.family].row_distribution
+        row_distribution = _margin(spec.family).row_distribution
         for item in args.dump_dist:
             key, path = _parse_keyed_path(item, "--dump-dist")
             try:
@@ -310,10 +310,12 @@ def _cmd_pcor(args) -> int:
     n_boot = 0 if args.matrix else args.boot
     _check_draws(n_boot, args.perm, args.threads, args.seed, flags=_DRAW_FLAGS)
     zterms = parse_term_list(args.z)
+    # each path rejects the flags only the other one uses
+    for flag in ("x", "y", "x_model", "y_model") if args.matrix else ("cols", "pout"):
+        if getattr(args, flag) is not None:
+            rule = "cannot be used with" if args.matrix else "can be used only with"
+            raise InputError(f"--{flag.replace('_', '-')} {rule} --matrix")
     if args.matrix:
-        for flag in ("x", "y", "x_model", "y_model"):
-            if getattr(args, flag) is not None:
-                raise InputError(f"--{flag.replace('_', '-')} cannot be used with --matrix")
         if not args.cols:
             raise InputError("--matrix needs --cols with at least two column names")
         cols = [c.strip() for c in args.cols.split(",") if c.strip()]
@@ -506,9 +508,9 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--z", default="", help="comma-separated adjustment terms")
     p_scan.add_argument("--predictors", required=True, metavar="PATH",
                         help="CSV of candidate predictor columns, rows aligned with --data")
-    p_scan.add_argument("--x-model", choices=MARGIN_MODELS, default="orm-logit",
+    p_scan.add_argument("--x-model", choices=MARGIN_MODELS, default=ScanConfig.x_model,
                         help="margin model for each predictor")
-    p_scan.add_argument("--y-model", choices=MARGIN_MODELS, default="linear-empirical",
+    p_scan.add_argument("--y-model", choices=MARGIN_MODELS, default=ScanConfig.y_model,
                         help="margin model for the outcome")
     p_scan.add_argument("--perm", type=int, default=1000, metavar="B",
                         help="permutation draws per predictor (0 disables)")

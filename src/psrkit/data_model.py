@@ -216,9 +216,6 @@ class Dataset:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
     def __getitem__(self, name: str) -> Column:
         for c in self.columns:
             if c.name == name:
@@ -527,7 +524,6 @@ class DesignMatrix:
 
     matrix: np.ndarray
     names: tuple[str, ...]
-    terms: tuple[Term, ...] = ()
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -548,7 +544,7 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
     def take(self, idx: np.ndarray) -> "DesignMatrix":
-        return DesignMatrix(self.matrix[idx], self.names, self.terms)
+        return DesignMatrix(self.matrix[idx], self.names)
 
 
 def _check_intercept_rank(m: np.ndarray) -> None:
@@ -608,7 +604,7 @@ def build_design(d: Dataset, terms: list[Term] | tuple[Term, ...]) -> DesignMatr
     if flat.size:
         raise InputError(f"design column {names[flat[0]]!r} is constant")
     _check_intercept_rank(m)
-    return DesignMatrix(m, tuple(names), tuple(terms))
+    return DesignMatrix(m, tuple(names))
 
 
 # default knot placement quantiles, indexed by knot count; the 3- and

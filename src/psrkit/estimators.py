@@ -58,15 +58,19 @@ rounding noise grows with the number of cut points.
 The parametric families (normal linear, log-link Poisson, log-link
 exponential survival) each fit one intercept, stored in ``alpha``, and share
 one design check that rejects ``n <= p`` and a design collinear with that
-intercept.  Poisson and exponential survival share one log-rate Newton fit:
-the exponential log-likelihood of times t and event indicators delta is the
-Poisson log-likelihood of delta with exposure t (Holford, Biometrics 1980;
-Laird & Olivier, JASA 1981).
+intercept; a cumulative-link fit rejects a design collinear with its cut
+points by the same rank test.  Poisson and exponential survival share one
+log-rate Newton fit: the exponential log-likelihood of times t and event
+indicators delta is the Poisson log-likelihood of delta with exposure t
+(Holford, Biometrics 1980; Laird & Olivier, JASA 1981).
 
 What a fit predicts comes from one table keyed by ``ModelFit.link``, in the
 order of ``LINKS``: per link, (F(y-), F(y)) over arrays of outcomes and linear
 predictors, one row's :class:`FittedDistribution` (a discrete one built from
-the same F), and whether the outcome is discrete or right-censored.
+the same F), and whether the outcome is discrete or right-censored.  The
+same entry gives the Newton engine each cumulative link's h, its survival
+function S, (h', h'') and its quantile; ``CUMULATIVE_LINKS`` is the view of
+those entries.
 """
 from __future__ import annotations
 
@@ -88,7 +92,6 @@ from .fitted_dist import (
 )
 
 __all__ = [
-    "LinkFamily",
     "LINKS",
     "CUMULATIVE_LINKS",
     "ModelFit",
@@ -110,22 +113,6 @@ MAX_ITERATIONS = 100
 SEPARATION_CAP = 30.0
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class LinkFamily:
-    """An inverse-link CDF ``h`` with its first two derivatives and inverse.
-
-    ``h`` must be a strictly increasing distribution function so the
-    cumulative probabilities inherit monotonicity from the intercepts.
-    """
-
-    cdf: Callable[[np.ndarray], np.ndarray]
-    #: the survival function 1 - cdf in closed form, exact in the upper tail
-    sf: Callable[[np.ndarray], np.ndarray]
-    #: the density and its derivative, ``(h', h'')``, sharing their work
-    pdf_dpdf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    quantile: Callable[[np.ndarray], np.ndarray]
 
 
 # scipy is imported inside each function that calls it, so that importing
@@ -243,43 +230,27 @@ def _loglog_pdf_dpdf(eta):
     return pdf, pdf * (e - 1.0)
 
 
-CUMULATIVE_LINKS: dict[str, LinkFamily] = {
-    "logit": LinkFamily(
-        cdf=_expit,
-        sf=lambda eta: _expit(-eta),
-        pdf_dpdf=_logit_pdf_dpdf,
-        quantile=_logit,
-    ),
-    "probit": LinkFamily(
-        cdf=_ndtr,
-        sf=lambda eta: _ndtr(-eta),
-        pdf_dpdf=_probit_pdf_dpdf,
-        quantile=_ndtri,
-    ),
-    "cloglog": LinkFamily(
-        cdf=_cloglog_cdf,
-        sf=lambda eta: np.exp(-np.exp(eta)),
-        pdf_dpdf=_cloglog_pdf_dpdf,
-        quantile=lambda p: np.log(-np.log1p(-np.asarray(p, dtype=float))),
-    ),
-    "loglog": LinkFamily(
-        cdf=_loglog_cdf,
-        sf=lambda eta: -np.expm1(-np.exp(-eta)),
-        pdf_dpdf=_loglog_pdf_dpdf,
-        quantile=lambda p: -np.log(-np.log(np.asarray(p, dtype=float))),
-    ),
-}
-
-
 class _FittedCdf(NamedTuple):
     """A link's fitted CDF: ``bounds(fit, y, xb)`` gives (F(y-), F(y)) over
     arrays of outcomes and linear predictors, ``row(fit, xb)`` one row's
-    distribution; ``censored`` marks right-censored outcomes."""
+    distribution; ``censored`` marks right-censored outcomes.
+
+    A cumulative link's entry also gives the Newton engine its inverse-link
+    CDF h (``cdf``), 1 - h in closed form, exact in the upper tail (``sf``),
+    (h', h'') sharing their work (``pdf_dpdf``) and h's inverse
+    (``quantile``); they are None for the other links.  h must be a strictly
+    increasing distribution function, so that the cumulative probabilities
+    inherit monotonicity from the intercepts.
+    """
 
     bounds: Callable
     row: Callable
     discrete: bool
     censored: bool = False
+    cdf: Callable | None = None
+    sf: Callable | None = None
+    pdf_dpdf: Callable | None = None
+    quantile: Callable | None = None
 
 
 def _empirical_bounds(fit, y, xb):
@@ -292,7 +263,7 @@ def _empirical_bounds(fit, y, xb):
 def _cumulative_bounds(fit, y, xb):
     # F just after atom k (1-based) is h(alpha_k - xb); the cut points -inf
     # and +inf added at the ends give every link's h exactly 0 and 1
-    cdf = CUMULATIVE_LINKS[fit.link].cdf
+    cdf = _FITTED_CDFS[fit.link].cdf
     cuts = np.concatenate([[-np.inf], fit.alpha, [np.inf]])
     lo = np.searchsorted(fit.support, y, side="left")
     hi = np.searchsorted(fit.support, y, side="right")
@@ -336,8 +307,22 @@ def _poisson_row(fit, xb) -> DiscreteSupport:
     return _atoms_row(fit, xb, np.arange(top + 1, dtype=float))
 
 
+def _link(cdf, sf, pdf_dpdf, quantile) -> _FittedCdf:
+    """The entry of a cumulative link with inverse-link CDF ``cdf``."""
+    return _FittedCdf(_cumulative_bounds, _atoms_row, True, False, cdf, sf, pdf_dpdf, quantile)
+
+
 _FITTED_CDFS: dict[str, _FittedCdf] = {
-    **{link: _FittedCdf(_cumulative_bounds, _atoms_row, True) for link in CUMULATIVE_LINKS},
+    "logit": _link(_expit, lambda eta: _expit(-eta), _logit_pdf_dpdf, _logit),
+    "probit": _link(_ndtr, lambda eta: _ndtr(-eta), _probit_pdf_dpdf, _ndtri),
+    "cloglog": _link(
+        _cloglog_cdf, lambda eta: np.exp(-np.exp(eta)), _cloglog_pdf_dpdf,
+        lambda p: np.log(-np.log1p(-np.asarray(p, dtype=float))),
+    ),
+    "loglog": _link(
+        _loglog_cdf, lambda eta: -np.expm1(-np.exp(-eta)), _loglog_pdf_dpdf,
+        lambda p: -np.log(-np.log(np.asarray(p, dtype=float))),
+    ),
     "empirical": _FittedCdf(_empirical_bounds, _atoms_row, True),
     "identity-normal": _FittedCdf(
         _normal_bounds, lambda fit, xb: NormalDist(fit.alpha[0] + xb, fit.scale), False
@@ -353,6 +338,8 @@ _FITTED_CDFS: dict[str, _FittedCdf] = {
 
 #: every accepted value of ``ModelFit.link``
 LINKS = tuple(_FITTED_CDFS)
+#: the cumulative links, whose entries the Newton engine fits with
+CUMULATIVE_LINKS = {link: e for link, e in _FITTED_CDFS.items() if e.cdf is not None}
 
 
 @dataclass(frozen=True)
@@ -400,10 +387,6 @@ class ModelFit:
     @property
     def aic(self) -> float:
         return -2.0 * self.loglik + 2.0 * self.n_params
-
-    @property
-    def is_discrete(self) -> bool:
-        return _FITTED_CDFS[self.link].discrete
 
 
 # ---------------------------------------------------------------------------
@@ -858,12 +841,14 @@ def _clm_newton(codes, weights, Z, fam, max_iter) -> SimpleNamespace:
 def _clm_fits(cols, X: DesignMatrix | None, link: str, max_iter: int, weights=None) -> list:
     """One stacked fit of every column on its observed rows, each row counted
     ``weights`` times (once when ``weights`` is None): per column its
-    :class:`ModelFit`, or the :class:`PsrKitError` its fit raised."""
+    :class:`ModelFit`, or the :class:`PsrKitError` its fit raised.  A design
+    collinear with the cut points raises :class:`InputError`."""
     if link not in CUMULATIVE_LINKS:
         raise InputError(f"unknown cumulative link {link!r}; choose from {sorted(CUMULATIVE_LINKS)}")
     fam = CUMULATIVE_LINKS[link]
     n = cols[0].n if cols else 0
     Xm, names = (np.zeros((n, 0)), ()) if X is None else (X.matrix, tuple(X.names))
+    _check_intercept_rank(Xm)
     out: list = [None] * len(cols)
     supports, fitted = [], []
     codes = np.zeros((len(cols), n), dtype=np.intp)
@@ -922,7 +907,8 @@ def fit_cumulative_link(
     :class:`ConvergenceError`, except for complete separation (a coefficient
     beyond +-30 on the link scale): the last step is then shortened to end
     where the largest coefficient is exactly 30, and the fit warns and
-    returns that capped point so batch scans can continue.
+    returns that capped point so batch scans can continue.  A design
+    collinear with the cut points raises :class:`InputError`.
     """
     _check_fit_inputs(y, X, kinds=ORDERABLE_KINDS)
     (fit,) = _clm_fits([y], X, link, max_iter)
@@ -957,8 +943,9 @@ def fit_cumulative_link_batch(
     not converge).  A member's separation shows only in its ``notes``, which
     carry the cap that :func:`fit_cumulative_link` would warn of; the batch
     itself never warns.  Malformed input (a column kind that is not
-    orderable, a design of another length, weights of another shape or not
-    nonnegative integers) raises :class:`InputError`.
+    orderable, a design of another length or collinear with the cut points,
+    weights of another shape or not nonnegative integers) raises
+    :class:`InputError`.
     """
     cols = list(columns)
     for col in cols:

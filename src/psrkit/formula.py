@@ -26,7 +26,7 @@ from .data_model import (
 )
 from .estimators import ModelFit
 from .exceptions import ModelSpecError
-from .rank_association import _MARGINS, MARGIN_MODELS
+from .rank_association import MARGIN_MODELS, _margin
 
 __all__ = [
     "ModelSpec",
@@ -148,7 +148,4 @@ def fit_spec(spec: ModelSpec, d: Dataset) -> tuple[ModelFit, DesignMatrix | None
     rank-based residual step applies only when residuals are computed.
     """
     y, X = design_for_spec(spec, d)
-    margin = _MARGINS.get(spec.family)
-    if margin is None:
-        raise ModelSpecError(f"unknown model family {spec.family!r}")
-    return margin.fit(y, X), X
+    return _margin(spec.family).fit(y, X), X

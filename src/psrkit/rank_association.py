@@ -225,13 +225,19 @@ _MARGINS: dict[str, _MarginModel] = {
 MARGIN_MODELS = tuple(_MARGINS)
 
 
+def _margin(model: str) -> _MarginModel:
+    """The margin family named ``model``."""
+    margin = _MARGINS.get(model)
+    if margin is None:
+        raise InputError(f"unknown margin model {model!r}; choose from {MARGIN_MODELS}")
+    return margin
+
+
 def _margin_fit(
     col: Column, Z: DesignMatrix | None, model: str
 ) -> tuple[ModelFit, PsrVector]:
     """The fit of one column's margin and the residuals it gives."""
-    margin = _MARGINS.get(model)
-    if margin is None:
-        raise InputError(f"unknown margin model {model!r}; choose from {MARGIN_MODELS}")
+    margin = _margin(model)
     if Z is not None and Z.p == 0:
         Z = None
     fit = margin.fit(col, Z)
@@ -254,16 +260,16 @@ def default_margin_model(col: Column, Z: DesignMatrix | None) -> str:
     return "orm-logit"
 
 
-def _check_pair(x: Column, y: Column, Z: DesignMatrix | None = None) -> DesignMatrix | None:
-    """Check that x, y and Z have one length and x and y no missing value;
-    returns Z, or None when Z has no columns."""
-    if x.n != y.n:
+def _check_columns(*cols: Column, Z: DesignMatrix | None = None) -> DesignMatrix | None:
+    """Check that the columns and Z have one length and the columns no
+    missing value; returns Z, or None when Z has no columns."""
+    if any(c.n != cols[0].n for c in cols):
         raise InputError("columns have different lengths")
-    for c in (x, y):
+    for c in cols:
         if c.missing.any():
             raise InputError(f"column {c.name!r} has missing values; run complete_cases first")
-    if Z is not None and Z.n != x.n:
-        raise InputError("Z does not align with x and y")
+    if Z is not None and Z.n != cols[0].n:
+        raise InputError("Z does not align with the columns")
     return Z if Z is not None and Z.p else None
 
 
@@ -365,7 +371,7 @@ def _boot_block(idxs, x, y, Z, x_model, y_model, stat) -> list[tuple[object, boo
     :class:`NumericError` gets None, any other error propagates, and a
     replicate counts as capped when a refit made before that point capped.
     """
-    x_margin, y_margin = _MARGINS[x_model], _MARGINS[y_model]
+    x_margin, y_margin = _margin(x_model), _margin(y_model)
     x_fits = x_margin.fit_rows([x] * len(idxs), Z, idxs)
     y_fits = y_margin.fit_rows([y] * len(idxs), Z, idxs)
     out = []
@@ -498,7 +504,7 @@ def spearman(
     for c in (x, y):
         if not c.is_orderable:
             raise InputError(f"column {c.name!r} is not orderable")
-    _check_pair(x, y)
+    _check_columns(x, y)
     return _resampled_results(
         x, y, None, "empirical", "empirical",
         stat=_pearson, method="spearman", n_boot=n_boot, n_perm=n_perm, seed=seed,
@@ -524,7 +530,7 @@ def partial_spearman(
     :func:`spearman`.  ``workers`` processes share out the bootstrap's
     blocks of replicates; the result is the same at every worker count.
     """
-    Z = _check_pair(x, y, Z)
+    Z = _check_columns(x, y, Z=Z)
     return _resampled_results(
         x, y, Z,
         x_model or default_margin_model(x, Z),
@@ -550,7 +556,7 @@ def psr_covariance(
     Shares the sign and the zero of the correlation-based estimate but keeps
     the raw probability-scale units.
     """
-    Z = _check_pair(x, y, Z)
+    Z = _check_columns(x, y, Z=Z)
     return _resampled_results(
         x, y, Z,
         x_model or default_margin_model(x, Z),
@@ -594,12 +600,7 @@ def conditional_spearman(
     correlated with Gaussian kernel weights on an evenly spaced grid of
     ``n_grid`` z values; the bandwidth defaults to Silverman's rule.
     """
-    _check_pair(x, y)
-    if z.n != x.n:
-        raise InputError("z does not align with x and y")
-    if z.missing.any():
-        raise InputError(f"column {z.name!r} has missing values; run complete_cases first")
-
+    _check_columns(x, y, z)
     if z.kind in (ColumnKind.ORDINAL, ColumnKind.BINARY):
         return _conditional_categorical(x, y, z, x_model, y_model, n_boot, n_perm, seed)
     if z.kind is ColumnKind.CONTINUOUS:
@@ -610,11 +611,10 @@ def conditional_spearman(
 
 
 def _conditional_categorical(x, y, z, x_model, y_model, n_boot, n_perm, seed):
-    codes = np.unique(z.values)
-    counts = {c: int(np.sum(z.values == c)) for c in codes}
-    thin = [c for c, k in counts.items() if k < 5]
+    codes, counts = np.unique(z.values, return_counts=True)
+    thin = [z.label_of(c) for c in codes[counts < 5]]
     if thin:
-        raise InputError(f"column {z.name!r}: levels with fewer than 5 rows: {thin}")
+        raise InputError(f"column {z.name!r}: levels with fewer than 5 rows: {', '.join(thin)}")
     out = []
     for code in codes:
         rows = np.flatnonzero(z.values == code)
@@ -719,7 +719,7 @@ def _scan_block(block, ypsr, Z, x_model, n_perm, seed) -> list[ScanRow]:
     """The scan rows of one block ``(start, predictors)``; predictor k of the
     block draws its permutations from the substream (seed, scan, start + k)."""
     start, cols = block
-    margin = _MARGINS[x_model]
+    margin = _margin(x_model)
     observed = [np.flatnonzero(~col.missing) for col in cols]
     rows: list[ScanRow | None] = [None] * len(cols)
     fitted = []
@@ -787,21 +787,13 @@ def batch_partial_spearman(
     and the ranking is by |estimate|.
     """
     _check_draws(n_perm=config.n_perm, workers=config.workers, seed=config.seed)
-    if config.x_model not in _MARGINS:
-        raise InputError(
-            f"unknown margin model {config.x_model!r}; choose from {MARGIN_MODELS}"
-        )
-    if y.missing.any():
-        raise InputError(f"outcome {y.name!r} has missing values; run complete_cases first")
-    if Z is not None and Z.p == 0:
-        Z = None
-    if Z is not None and Z.n != y.n:
-        raise InputError("Z does not align with the outcome")
-    ypsr = margin_psr(y, Z, config.y_model).values
-
+    _margin(config.x_model)  # an unknown x-model fails before the outcome is fitted
+    Z = _check_columns(y, Z=Z)
     for col in predictors:
         if col.n != y.n:
             raise InputError(f"predictor {col.name!r} does not align with the outcome")
+    ypsr = margin_psr(y, Z, config.y_model).values
+
     task = partial(
         _scan_block, ypsr=ypsr, Z=Z,
         x_model=config.x_model, n_perm=config.n_perm, seed=config.seed,

@@ -613,14 +613,18 @@ class TestPcor:
          (["--x", "age", "--y", "y", "--z", "1,age"],
           "'1' (intercept only) cannot be combined with other terms"),
          (["--x", "age", "--y", "y", "--perm", "9"],
-          "a seed (--seed) is required whenever resampling is requested")],
+          "a seed (--seed) is required whenever resampling is requested"),
+         (["--x", "age", "--y", "y", "--pout", "p.csv"],
+          "--pout can be used only with --matrix"),
+         (["--x", "age", "--y", "y", "--cols", "a,b"],
+          "--cols can be used only with --matrix")],
         ids=["matrix-x", "matrix-y", "matrix-x-model", "matrix-y-model", "z-one-and-term",
-             "seed-missing"],
+             "seed-missing", "pair-pout", "pair-cols"],
     )
     def test_bad_request_rejected_before_reading(self, tmp_path, capsys, flags, message):
         absent = str(tmp_path / "absent.csv")
         code = run(
-            ["pcor", "--data", absent, "--schema", SCHEMA, "--cols", "a,b", "--z", "age",
+            ["pcor", "--data", absent, "--schema", SCHEMA, "--z", "age",
              "--boot", "0", "--perm", "0"] + flags
         )
         assert code == 1

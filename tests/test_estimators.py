@@ -354,6 +354,17 @@ class TestCumulativeLink:
                 Column.continuous("y", np.arange(10.0)), None, "cauchit"
             )
 
+    def test_design_collinear_with_cut_points_rejected(self):
+        # only beta_a - beta_b is identified next to the cut points
+        rng = np.random.default_rng(10)
+        a = (np.arange(120) % 2).astype(float)
+        y = Column.continuous("y", rng.integers(0, 3, 120).astype(float))
+        X = DesignMatrix(np.column_stack([a, 1.0 - a]), ("a", "b"))
+        with pytest.raises(InputError, match="rank deficient once an intercept is added"):
+            fit_cumulative_link(y, X)
+        with pytest.raises(InputError, match="rank deficient once an intercept is added"):
+            fit_cumulative_link_batch([y], X)
+
 
 def _panel(seed, n=150):
     """Predictors with missing cells: 3- and 2-level genotypes, one with a

@@ -4,8 +4,9 @@ import pytest
 
 from psrkit.data_model import Column, Dataset, Term
 from psrkit.estimators import fit_linear_normal
-from psrkit.exceptions import ModelSpecError
+from psrkit.exceptions import InputError, ModelSpecError
 from psrkit.formula import (
+    ModelSpec,
     design_for_spec,
     fit_spec,
     parse_model_spec,
@@ -161,6 +162,11 @@ class TestFitDispatch:
         d = self._dataset()
         fit, X = fit_spec(parse_model_spec(text), d)
         assert fit.link == link
+
+    def test_unknown_family_of_a_hand_built_spec(self):
+        spec = ModelSpec("quantile", "y", (Term("age"),))
+        with pytest.raises(InputError, match="unknown margin model 'quantile'"):
+            fit_spec(spec, self._dataset())
 
     def test_linear_empirical_same_coefficients_as_linear(self):
         d = self._dataset()

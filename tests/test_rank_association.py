@@ -227,6 +227,54 @@ class TestMarginModels:
             margin_psr(col, None, "quantile")
 
 
+#: every estimator over columns x, y and a design Z; conditional_spearman
+#: conditions on Z's column
+_ENTRY_POINTS = {
+    "spearman": lambda x, y, Z: spearman(x, y),
+    "partial_spearman": lambda x, y, Z: partial_spearman(x, y, Z, n_boot=0, n_perm=0),
+    "psr_covariance": lambda x, y, Z: psr_covariance(x, y, Z),
+    "conditional_spearman": lambda x, y, Z: conditional_spearman(
+        x, y, Column.continuous("z", Z.matrix[:, 0])
+    ),
+    "batch_partial_spearman": lambda x, y, Z: batch_partial_spearman(
+        y, Z, [x], ScanConfig(n_perm=0)
+    ),
+}
+
+
+class TestColumnChecks:
+    @pytest.mark.parametrize(
+        "entry, defect",
+        [(e, d) for e in _ENTRY_POINTS for d in ("short column", "missing cell", "short Z")
+         if (e, d) != ("spearman", "short Z")],
+    )
+    def test_rejected_by_every_entry_point(self, entry, defect):
+        rng = np.random.default_rng(26)
+        n = 40
+        z = rng.normal(0, 1, n)
+        x = Column.continuous("x", z + rng.normal(0, 1, n))
+        yv = z + rng.normal(0, 1, n)
+        y = Column.continuous("y", yv)
+        Z = DesignMatrix(z[:, None], ("z",))
+        message = "different lengths|does not align"
+        if defect == "short column":
+            y = y.take(np.arange(n - 1))
+        elif defect == "missing cell":
+            y = Column.continuous("y", yv, missing=np.arange(n) == 7)
+            message = "column 'y' has missing values"
+        else:
+            Z = Z.take(np.arange(n - 1))
+        with pytest.raises(InputError, match=message):
+            _ENTRY_POINTS[entry](x, y, Z)
+
+    def test_short_predictor_rejected_before_the_outcome_is_fitted(self):
+        # a constant outcome's linear-empirical fit would raise a numeric error
+        y = Column.continuous("y", np.full(40, 2.0))
+        short = Column.continuous("p", np.arange(39.0))
+        with pytest.raises(InputError, match="predictor 'p' does not align"):
+            batch_partial_spearman(y, None, [short], ScanConfig(n_perm=0))
+
+
 class TestPsrCovariance:
     def test_hand_value_empirical_margins(self):
         x = Column.continuous("x", [1.0, 2.0, 3.0])
@@ -279,12 +327,18 @@ class TestConditionalSpearman:
 
     def test_thin_stratum_rejected(self):
         g = np.array([0.0] * 10 + [1.0] * 3)
-        with pytest.raises(InputError, match="fewer than 5"):
+        with pytest.raises(InputError, match="fewer than 5 rows: 1$"):
             conditional_spearman(
                 Column.continuous("x", np.arange(13.0)),
                 Column.continuous("y", np.arange(13.0)),
                 Column.binary("g", g),
             )
+
+    def test_thin_ordinal_levels_named_by_label(self):
+        z = Column.ordinal("g", [0.0] * 6 + [1.0] * 3 + [2.0] * 4, ("low", "mid", "high"))
+        x = Column.continuous("x", np.arange(13.0))
+        with pytest.raises(InputError, match="fewer than 5 rows: mid, high$"):
+            conditional_spearman(x, x, z)
 
     def test_continuous_recovers_effect_modification(self):
         rng = np.random.default_rng(18)
