@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -168,11 +170,15 @@ class Column:
         return self.kind in ORDERABLE_KINDS
 
     def take(self, idx: np.ndarray) -> "Column":
-        """Row subset / resample (bootstrap-style indexing allowed)."""
+        """Row subset / resample at an integer or boolean index array
+        (bootstrap-style repeats allowed).
+
+        The rows of a checked column are checked already, so the result is
+        built without running the checks again; fancy indexing gives it
+        arrays of its own.
+        """
         ev = None if self.events is None else self.events[idx]
-        return replace(
-            self, values=self.values[idx], missing=self.missing[idx], events=ev
-        )
+        return _taken(self, values=self.values[idx], missing=self.missing[idx], events=ev)
 
     def label_of(self, code: float) -> str:
         """Human-readable rendering of one cell value."""
@@ -181,6 +187,14 @@ class Column:
         if float(code).is_integer() and self.kind in (ColumnKind.BINARY, ColumnKind.COUNT):
             return str(int(code))
         return repr(float(code))
+
+
+def _taken(obj, **rows):
+    """``dataclasses.replace(obj, **rows)`` without ``__post_init__``, for
+    the rows ``take`` copied out of an object that passed its checks."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__, **rows)
+    return out
 
 
 def _vals_missing(values, missing) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +356,9 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
     ``NA`` (after stripping blanks) are recorded as missing.  Malformed cells
     raise :class:`SchemaError` with the path and the row number (1-based,
     excluding header), and a file that is not UTF-8 with the offset of its
-    first bad byte.
+    first bad byte.  Every cell is parsed before any column is checked, so a
+    malformed cell is reported ahead of a column that fails its kind's
+    checks (:class:`InputError`).
     """
     if isinstance(schema, str):
         schema = parse_schema(schema)
@@ -368,7 +384,7 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {rn} has {len(row)} fields, expected {len(header)}")
 
-    columns: list[Column] = []
+    columns: list[partial] = []
     for spec in schema:
         where = f"{path}: column {spec.name!r}"
         if spec.kind is ColumnKind.RIGHT_CENSORED:
@@ -384,16 +400,16 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
                 vals[rn] = _parse_float(t_tok, where, rn + 1)
                 evs[rn] = _parse_float(e_tok, where, rn + 1)
             columns.append(
-                Column.right_censored(
-                    spec.name, vals, evs, missing=miss,
+                partial(
+                    Column.right_censored, spec.name, vals, evs, missing=miss,
                     source_fields=(spec.time_field, spec.event_field),
                 )
             )
             continue
         ci = field_idx(spec.name)
-        vals = np.zeros(n)
-        miss = np.zeros(n, dtype=bool)
         if spec.kind is ColumnKind.ORDINAL:
+            vals = np.zeros(n)
+            miss = np.zeros(n, dtype=bool)
             code = {lbl: float(i) for i, lbl in enumerate(spec.levels)}
             for rn, row in enumerate(rows):
                 tok = row[ci]
@@ -403,16 +419,37 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
                     vals[rn] = code[tok]
                 else:
                     raise SchemaError(f"{where} row {rn + 1}: {tok!r} is not a declared level")
-            columns.append(Column.ordinal(spec.name, vals, spec.levels, missing=miss))
+            columns.append(partial(Column.ordinal, spec.name, vals, spec.levels, missing=miss))
         else:
-            for rn, row in enumerate(rows):
-                tok = row[ci]
-                if _is_missing(tok):
-                    miss[rn] = True
-                else:
-                    vals[rn] = _parse_float(tok, where, rn + 1)
-            columns.append(Column(spec.name, spec.kind, vals, miss))
-    return Dataset(tuple(columns))
+            vals, miss = _parse_numeric([row[ci] for row in rows], where)
+            columns.append(partial(Column, spec.name, spec.kind, vals, miss))
+    # built after the parse, the columns' checked copies are allocated
+    # together, not between the parse's temporaries: spread among those,
+    # they made the heap that a scan's forked workers inherit fault more
+    return Dataset(tuple(make() for make in columns))
+
+
+def _parse_numeric(toks: list[str], where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values and missing mask of one numeric column's cells, parsed whole.
+
+    A malformed or non-finite cell sends the column through
+    :func:`_parse_float` cell by cell, which raises for the first bad row.
+    """
+    miss = np.fromiter(
+        map(_MISSING_CELLS.__contains__, map(str.strip, toks)), dtype=bool, count=len(toks)
+    )
+    vals = np.zeros(len(toks))
+    present = ~miss
+    try:
+        vals[present] = list(map(float, itertools.compress(toks, present)))
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(vals).all():
+            return vals, miss
+    cells = zip(toks, miss)
+    vals = [0.0 if m else _parse_float(tok, where, rn) for rn, (tok, m) in enumerate(cells, 1)]
+    return np.array(vals), miss
 
 
 def _parse_float(tok: str, where: str, rownum: int) -> float:
@@ -544,7 +581,8 @@ class DesignMatrix:
         return self.matrix.shape[1]
 
     def take(self, idx: np.ndarray) -> "DesignMatrix":
-        return DesignMatrix(self.matrix[idx], self.names)
+        """Row subset / resample, unchecked as :meth:`Column.take` is."""
+        return _taken(self, matrix=self.matrix[idx])
 
 
 def _check_intercept_rank(m: np.ndarray) -> None:

@@ -255,8 +255,11 @@ class _FittedCdf(NamedTuple):
 
 def _empirical_bounds(fit, y, xb):
     cum = np.concatenate([[0.0], fit.support_cum_probs[:-1], [1.0]])
-    lo = np.searchsorted(fit.support, y, side="left")  # the atoms below y
-    hi = np.searchsorted(fit.support, y, side="right")  # the atoms at or below y
+    # numpy searches sorted queries faster: search y in order, scatter back
+    order = np.argsort(y)
+    lo, hi = np.empty((2, y.size), dtype=np.intp)
+    lo[order] = np.searchsorted(fit.support, y[order], side="left")  # the atoms below y
+    hi[order] = np.searchsorted(fit.support, y[order], side="right")  # the atoms at or below y
     return cum[lo], cum[hi]
 
 

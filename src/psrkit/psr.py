@@ -98,10 +98,15 @@ def psr_from_omers(residuals, source: str = "omer") -> PsrVector:
     if not np.all(np.isfinite(res)):
         raise InputError("residuals must be finite")
     n = res.size
-    sorted_res = np.sort(res)
-    n_less = np.searchsorted(sorted_res, res, side="left")
-    n_greater = n - np.searchsorted(sorted_res, res, side="right")
-    return PsrVector((n_less - n_greater) / n, source=source, discrete=True)
+    # the sorted residuals searched for themselves, in order (numpy searches
+    # sorted queries faster), and the counts scattered back
+    order = np.argsort(res)
+    sorted_res = res[order]
+    n_less = np.searchsorted(sorted_res, sorted_res, side="left")
+    n_greater = n - np.searchsorted(sorted_res, sorted_res, side="right")
+    diff = np.empty(n, dtype=np.intp)
+    diff[order] = n_less - n_greater
+    return PsrVector(diff / n, source=source, discrete=True)
 
 
 def psr_all(fit: ModelFit, col: Column, X: DesignMatrix | None = None) -> PsrVector:

@@ -274,13 +274,21 @@ def _check_columns(*cols: Column, Z: DesignMatrix | None = None) -> DesignMatrix
 
 
 def _pearson(u: np.ndarray, v: np.ndarray, rows=None):
-    """Pearson correlation of u with v, or with each row of a (b, n) stack."""
+    """Pearson correlation of u with v, or with each row of a (b, n) stack.
+
+    The rows of a stack must be permutations of one vector, as the
+    permutation draws are: their mean m and centred norm sv are taken once,
+    from the first row, and row b scores ``(v_b @ uc - m * sum(uc)) / (su *
+    sv)`` with one product.  That differs from centring each row by about
+    1e-16, far inside ``_TIE_EPS``.
+    """
     uc = u - u.mean()
     su = float(np.sqrt(uc @ uc))
     if v.ndim == 2:
-        vc = v - v.mean(axis=1, keepdims=True)
-        sv = np.sqrt(np.einsum("ij,ij->i", vc, vc))
-        return (vc @ uc) / (su * sv)
+        m = v[0].mean()
+        vc = v[0] - m
+        sv = float(np.sqrt(vc @ vc))
+        return (v @ uc - m * uc.sum()) / (su * sv)
     vc = v - v.mean()
     sv = float(np.sqrt(vc @ vc))
     if su <= 0.0 or sv <= 0.0:
@@ -298,7 +306,7 @@ def _mean_product(u: np.ndarray, v: np.ndarray, rows=None):
 # depend on more than u and v.  For permutations ``v`` is a (b, n) stack of
 # permuted copies and the statistic returns one value per copy (and output).
 
-#: index cells (draws x rows) in one block of permutation draws
+#: cells (draws x rows) in one block of permutation draws
 _PERM_BLOCK_CELLS = 1 << 16
 
 #: a permuted statistic within this of |observed| counts as a tie.  With
@@ -311,16 +319,17 @@ _TIE_EPS = 1e-12
 def _perm_pvalue(u, v, observed, n_perm, rng, stat):
     """(1 + b) / (B + 1) per output, b counting draws with |T_b| >= |T_obs| - eps.
 
-    Each block of draws is one ``rng.permuted`` call on stacked index rows,
-    which gives the same permutations as one ``rng.permutation(n)`` per draw.
+    Each block of draws is one ``rng.permuted`` call that shuffles stacked
+    copies of v in place.  The shuffle's draws depend only on the shape, so
+    row k holds ``v[rng.permutation(n)]`` for the k-th draw, bit for bit.
     """
     n = v.size
     block = max(1, _PERM_BLOCK_CELLS // n)
     target = np.abs(observed) - _TIE_EPS
     hits = 0
     for start in range(0, n_perm, block):
-        index = np.tile(np.arange(n), (min(block, n_perm - start), 1))
-        stats = stat(u, v[rng.permuted(index, axis=1)], None)
+        stack = np.tile(v, (min(block, n_perm - start), 1))
+        stats = stat(u, rng.permuted(stack, axis=1, out=stack), None)
         hits = hits + np.count_nonzero(np.abs(stats) >= target, axis=0)
     return (1 + hits) / (n_perm + 1)
 

@@ -1,5 +1,7 @@
 """Columns, schemas, CSV round-trips, design matrices, spline bases."""
 import csv
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +66,45 @@ class TestColumn:
         sub = c.take(np.array([2, 2, 0]))
         assert list(sub.values) == [30.0, 30.0, 10.0]
 
+    @pytest.mark.parametrize(
+        "idx", [np.array([3, 3, 0, 1]), np.array([True, False, True, True])], ids=["rows", "mask"]
+    )
+    def test_take_equals_checked_replace(self, idx):
+        miss = [False, True, False, False]
+        columns = [
+            Column.continuous("x", [1.5, 0.0, -2.0, 4.0], missing=miss),
+            Column.ordinal("s", [0, 0, 2, 1], ("a", "b", "c"), missing=miss),
+            Column.binary("b", [1, 0, 0, 1], missing=miss),
+            Column.count("k", [3, 0, 7, 1], missing=miss),
+            Column.right_censored(
+                "t", [1.0, 0.0, 2.5, 3.0], [1, 0, 0, 1], missing=miss,
+                source_fields=("fu", "died"),
+            ),
+        ]
+        for c in columns:
+            sub = c.take(idx)
+            ev = None if c.events is None else c.events[idx]
+            checked = replace(c, values=c.values[idx], missing=c.missing[idx], events=ev)
+            assert type(sub) is Column
+            for field in ("name", "kind", "levels", "source_fields"):
+                assert getattr(sub, field) == getattr(checked, field)
+            for field in ("values", "missing", "events"):
+                got, want = getattr(sub, field), getattr(checked, field)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, getattr(c, field))
+        assert sub.source_fields == ("fu", "died")
+        assert list(sub.events) == list(np.array([1.0, 0.0, 0.0, 1.0])[idx])
+
+    def test_design_take_copies_rows(self):
+        Z = DesignMatrix(np.arange(8.0).reshape(4, 2), ("a", "b"))
+        sub = Z.take(np.array([3, 0, 3]))
+        assert type(sub) is DesignMatrix and sub.names == ("a", "b")
+        assert sub.matrix.tolist() == [[6.0, 7.0], [0.0, 1.0], [6.0, 7.0]]
+        assert not np.shares_memory(sub.matrix, Z.matrix)
+
 
 class TestSchema:
     def test_parse_all_kinds(self):
@@ -118,6 +159,54 @@ class TestCsvIO:
         p = self._write(tmp_path, "y\n1.0\noops\n")
         with pytest.raises(SchemaError, match="row 2"):
             load_csv(p, "y:continuous")
+
+    @pytest.mark.parametrize(
+        "text, schema, tail",
+        [
+            ("y\n1\ninf\noops\n", "y:continuous", "column 'y' row 2: non-finite value 'inf'"),
+            ("y\n1\noops\ninf\n", "y:continuous", "column 'y' row 2: cannot parse 'oops'"),
+            ("a,b\n1,x\ny,2\n", "a:continuous,b:continuous", "column 'a' row 2: cannot parse 'y'"),
+            ("a,b\n1,x\ny,2\n", "b:continuous,a:continuous", "column 'b' row 1: cannot parse 'x'"),
+            ("y\n1\nNA\n1e400\n", "y:continuous", "column 'y' row 3: non-finite value '1e400'"),
+            ("y\n nan \n", "y:continuous", "column 'y' row 1: non-finite value ' nan '"),
+            ("y\n-inf\n", "y:continuous", "column 'y' row 1: non-finite value '-inf'"),
+            ("b\n1\n0\ntrue\n", "b:binary", "column 'b' row 3: cannot parse 'true'"),
+            ("k\n2\nNA\ninf\n", "k:count", "column 'k' row 3: non-finite value 'inf'"),
+        ],
+    )
+    def test_first_bad_cell_reported(self, tmp_path, text, schema, tail):
+        p = self._write(tmp_path, text)
+        with pytest.raises(SchemaError, match=re.escape(f"{p}: {tail}") + "$"):
+            load_csv(p, schema)
+
+    def test_numeric_cells_accepted(self, tmp_path):
+        p = self._write(tmp_path, "y,b,k\n 1.5 , 1 ,3\n NA ,0, NA\n,NA,\n-2e3,0,0\n")
+        d = load_csv(p, "y:continuous,b:binary,k:count")
+        assert d["y"].values.tolist() == [1.5, 0.0, 0.0, -2000.0]
+        assert d["y"].missing.tolist() == [False, True, True, False]
+        assert d["b"].values.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert d["b"].missing.tolist() == [False, False, True, False]
+        assert d["k"].values.tolist() == [3.0, 0.0, 0.0, 0.0]
+        assert d["k"].missing.tolist() == [False, True, True, False]
+        assert [d[c].kind for c in d.names] == [
+            ColumnKind.CONTINUOUS, ColumnKind.BINARY, ColumnKind.COUNT
+        ]
+
+    def test_numeric_kind_checks_still_run(self, tmp_path):
+        p = self._write(tmp_path, "b,k\n2,1\n0,-1\n")
+        with pytest.raises(InputError, match="binary values must be 0 or 1"):
+            load_csv(p, "b:binary")
+        with pytest.raises(InputError, match="counts must be nonnegative integers"):
+            load_csv(p, "k:count")
+
+    def test_malformed_cell_reported_before_kind_checks(self, tmp_path):
+        p = self._write(tmp_path, "b,y,s\n2,1,I\n0,x,V\n")
+        with pytest.raises(SchemaError, match="column 'y' row 2: cannot parse 'x'"):
+            load_csv(p, "b:binary,y:continuous")
+        with pytest.raises(SchemaError, match="column 's' row 2: 'V' is not a declared level"):
+            load_csv(p, "b:binary,s:ordinal(I<II)")
+        with pytest.raises(InputError, match="column 'b': binary values must be 0 or 1"):
+            load_csv(p, "b:binary,s:ordinal(I<II<V)")
 
     @pytest.mark.parametrize(
         "text, schema",

@@ -127,6 +127,38 @@ class TestFromOmers:
         assert np.allclose(got, want, atol=1e-12)
         assert abs(got.sum()) < 1e-9  # empirical residuals sum to zero
 
+    @given(
+        st.lists(st.integers(-4, 4) | st.floats(-1e3, 1e3), min_size=1, max_size=300),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_queries_match_unsorted_search(self, vals, decimals):
+        # heavy ties: small integers, and floats rounded to few decimals
+        res = np.round(np.asarray(vals, dtype=float), decimals)
+        n = res.size
+        sorted_res = np.sort(res)
+        n_less = np.searchsorted(sorted_res, res, side="left")
+        n_greater = n - np.searchsorted(sorted_res, res, side="right")
+        got = psr_from_omers(res).values
+        assert got.tobytes() == ((n_less - n_greater) / n).tobytes()
+
+    @given(
+        st.lists(st.integers(0, 6), min_size=2, max_size=300),
+        st.lists(st.integers(-1, 7), min_size=1, max_size=300),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_empirical_bounds_match_unsorted_search(self, support_vals, queries):
+        from psrkit.estimators import _empirical_bounds
+
+        fit = fit_empirical(Column.continuous("y", np.asarray(support_vals, dtype=float)))
+        y = np.asarray(queries, dtype=float)  # with values off the support
+        cum = np.concatenate([[0.0], fit.support_cum_probs[:-1], [1.0]])
+        want_lo = cum[np.searchsorted(fit.support, y, side="left")]
+        want_hi = cum[np.searchsorted(fit.support, y, side="right")]
+        lo, hi = _empirical_bounds(fit, y, None)
+        assert lo.tobytes() == want_lo.tobytes()
+        assert hi.tobytes() == want_hi.tobytes()
+
     def test_midrank_identity_no_ties(self):
         rng = np.random.default_rng(4)
         res = rng.normal(0, 1, 31)

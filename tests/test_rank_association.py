@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from psrkit.data_model import Column, Dataset, DesignMatrix
@@ -742,6 +744,85 @@ class TestBlockedPermutations:
             n_perm=n_perm, seed=seed,
         )
         assert r.p_value == (1 + extreme) / (n_perm + 1)
+
+
+def _gathered_pearson(u, v, rows=None):
+    """Pearson of u with each row of a stack, each row centred on its own mean."""
+    uc = u - u.mean()
+    vc = v - v.mean(axis=1, keepdims=True)
+    return (vc @ uc) / (np.sqrt(uc @ uc) * np.sqrt(np.einsum("ij,ij->i", vc, vc)))
+
+
+def _gathered_pvalue(u, v, observed, n_perm, rng, stat):
+    """The blocked permutation p-value with each block's draws taken as
+    ``v`` gathered at permuted index rows."""
+    n = v.size
+    block = max(1, ra._PERM_BLOCK_CELLS // n)
+    target = np.abs(observed) - ra._TIE_EPS
+    hits = 0
+    for start in range(0, n_perm, block):
+        index = np.tile(np.arange(n), (min(block, n_perm - start), 1))
+        stats_ = stat(u, v[rng.permuted(index, axis=1)], None)
+        hits = hits + np.count_nonzero(np.abs(stats_) >= target, axis=0)
+    return (1 + hits) / (n_perm + 1)
+
+
+@st.composite
+def tied_pairs(draw):
+    """Residual-like vectors u and v with few distinct values, so that many
+    permuted statistics tie the observed one, exactly or to rounding."""
+    n = draw(st.integers(3, 300))
+    levels = st.integers(1, 3)
+    ku, kv = draw(levels), draw(levels)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    u = (rng.integers(0, ku + 1, n) - ku / 2) / n
+    v = (rng.integers(0, kv + 1, n) - kv / 2) / n
+    assume(np.ptp(u) > 0 and np.ptp(v) > 0)
+    return u, v, seed
+
+
+class TestDrawPath:
+    @pytest.mark.parametrize("n", [3, 40, 300])
+    def test_permuted_values_equal_gathered_index_rows(self, n):
+        v = np.random.default_rng(n).normal(size=n)
+        for rows in (1, 7, ra._PERM_BLOCK_CELLS // n):
+            by_index = ra._substream(5, ra._TAG_SCAN, n)
+            by_value = ra._substream(5, ra._TAG_SCAN, n)
+            for _ in range(3):
+                index = np.tile(np.arange(n), (rows, 1))
+                gathered = v[by_index.permuted(index, axis=1)]
+                stack = np.tile(v, (rows, 1))
+                by_value.permuted(stack, axis=1, out=stack)
+                assert stack.tobytes() == gathered.tobytes()
+
+    @given(tied_pairs(), st.integers(1, 60), st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_pvalue_equals_gathered_reference(self, pair, n_perm, rows):
+        u, v, seed = pair
+        for stat, reference in (
+            (ra._pearson, _gathered_pearson),
+            (ra._mean_product, ra._mean_product),
+        ):
+            observed = stat(u, v, None)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ra, "_PERM_BLOCK_CELLS", rows * u.size)
+                got = ra._perm_pvalue(
+                    u, v, observed, n_perm, ra._substream(seed, ra._TAG_PERM), stat
+                )
+                want = _gathered_pvalue(
+                    u, v, observed, n_perm, ra._substream(seed, ra._TAG_PERM), reference
+                )
+            assert got == want
+
+    @given(tied_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_pearson_matches_each_row(self, pair):
+        u, v, seed = pair
+        rng = np.random.default_rng(seed)
+        stack = np.stack([rng.permutation(v) for _ in range(7)])
+        rowwise = [ra._pearson(u, row) for row in stack]
+        assert np.allclose(ra._pearson(u, stack), rowwise, rtol=0, atol=1e-15)
 
 
 class TestBatchScan:
