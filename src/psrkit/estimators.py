@@ -257,9 +257,10 @@ def _empirical_bounds(fit, y, xb):
     cum = np.concatenate([[0.0], fit.support_cum_probs[:-1], [1.0]])
     # numpy searches sorted queries faster: search y in order, scatter back
     order = np.argsort(y)
+    ys = y[order]
     lo, hi = np.empty((2, y.size), dtype=np.intp)
-    lo[order] = np.searchsorted(fit.support, y[order], side="left")  # the atoms below y
-    hi[order] = np.searchsorted(fit.support, y[order], side="right")  # the atoms at or below y
+    lo[order] = np.searchsorted(fit.support, ys, side="left")  # the atoms below y
+    hi[order] = np.searchsorted(fit.support, ys, side="right")  # the atoms at or below y
     return cum[lo], cum[hi]
 
 
