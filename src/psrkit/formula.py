@@ -25,8 +25,8 @@ from .data_model import (
     build_design,
 )
 from .estimators import ModelFit
-from .exceptions import ModelSpecError
-from .rank_association import MARGIN_MODELS, _margin
+from .exceptions import InputError, ModelSpecError
+from .rank_association import _margin
 
 __all__ = [
     "ModelSpec",
@@ -108,10 +108,10 @@ def parse_model_spec(text: str) -> ModelSpec:
             f"model spec must look like family(outcome ~ terms), got {text!r}"
         )
     family = s[:open_idx].strip()
-    if family not in MARGIN_MODELS:
-        raise ModelSpecError(
-            f"unknown model family {family!r}; choose from {', '.join(MARGIN_MODELS)}"
-        )
+    try:
+        _margin(family)
+    except InputError as exc:
+        raise ModelSpecError(str(exc)) from None
     inner = s[open_idx + 1 : -1]
     if inner.count("~") != 1:
         raise ModelSpecError(f"model spec needs exactly one '~', got {text!r}")

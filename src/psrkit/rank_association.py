@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -229,13 +229,11 @@ def _margin(model: str) -> _MarginModel:
     """The margin family named ``model``."""
     margin = _MARGINS.get(model)
     if margin is None:
-        raise InputError(f"unknown margin model {model!r}; choose from {MARGIN_MODELS}")
+        raise InputError(f"unknown margin model {model!r}; choose from {', '.join(MARGIN_MODELS)}")
     return margin
 
 
-def _margin_fit(
-    col: Column, Z: DesignMatrix | None, model: str
-) -> tuple[ModelFit, PsrVector]:
+def _margin_fit(col: Column, Z: DesignMatrix | None, model: str) -> tuple[ModelFit, PsrVector]:
     """The fit of one column's margin and the residuals it gives."""
     margin = _margin(model)
     if Z is not None and Z.p == 0:
@@ -271,6 +269,12 @@ def _check_columns(*cols: Column, Z: DesignMatrix | None = None) -> DesignMatrix
     if Z is not None and Z.n != cols[0].n:
         raise InputError("Z does not align with the columns")
     return Z if Z is not None and Z.p else None
+
+
+def _check_orderable(*cols: Column) -> None:
+    for c in cols:
+        if not c.is_orderable:
+            raise InputError(f"column {c.name!r} is not orderable")
 
 
 def _pearson(u: np.ndarray, v: np.ndarray, rows=None):
@@ -453,9 +457,13 @@ def _check_draws(
 def _resampled_results(
     x, y, Z, x_model, y_model, *, stat, method, n_boot, n_perm, seed, tags=(), workers=1
 ) -> list[AssocResult]:
-    """One result per output of ``stat``; ``tags`` prefix the substream tags,
-    and ``workers`` processes share out the bootstrap's blocks."""
+    """One result per output of ``stat``, checking the columns, Z and then
+    the draws before any fit; a model of None is the default one, ``tags``
+    prefix the substream tags, and ``workers`` share out the bootstrap."""
+    Z = _check_columns(x, y, Z=Z)
     _check_draws(n_boot, n_perm, workers, seed)
+    x_model = x_model or default_margin_model(x, Z)
+    y_model = y_model or default_margin_model(y, Z)
     u = margin_psr(x, Z, x_model).values
     v = margin_psr(y, Z, y_model).values
     observed = stat(u, v, None)
@@ -510,10 +518,7 @@ def spearman(
 
     With ties this equals the mid-rank Spearman coefficient exactly.
     """
-    for c in (x, y):
-        if not c.is_orderable:
-            raise InputError(f"column {c.name!r} is not orderable")
-    _check_columns(x, y)
+    _check_orderable(x, y)
     return _resampled_results(
         x, y, None, "empirical", "empirical",
         stat=_pearson, method="spearman", n_boot=n_boot, n_perm=n_perm, seed=seed,
@@ -539,12 +544,8 @@ def partial_spearman(
     :func:`spearman`.  ``workers`` processes share out the bootstrap's
     blocks of replicates; the result is the same at every worker count.
     """
-    Z = _check_columns(x, y, Z=Z)
     return _resampled_results(
-        x, y, Z,
-        x_model or default_margin_model(x, Z),
-        y_model or default_margin_model(y, Z),
-        stat=_pearson, method="partial_spearman",
+        x, y, Z, x_model, y_model, stat=_pearson, method="partial_spearman",
         n_boot=n_boot, n_perm=n_perm, seed=seed, workers=workers,
     )[0]
 
@@ -565,12 +566,8 @@ def psr_covariance(
     Shares the sign and the zero of the correlation-based estimate but keeps
     the raw probability-scale units.
     """
-    Z = _check_columns(x, y, Z=Z)
     return _resampled_results(
-        x, y, Z,
-        x_model or default_margin_model(x, Z),
-        y_model or default_margin_model(y, Z),
-        stat=_mean_product, method="psr_covariance",
+        x, y, Z, x_model, y_model, stat=_mean_product, method="psr_covariance",
         n_boot=n_boot, n_perm=n_perm, seed=seed,
     )[0]
 
@@ -841,42 +838,45 @@ def correlation_matrix(
     of ``estimates`` holds unadjusted spearman values, the lower triangle
     the Z-adjusted partial values, and the diagonal is 1.  Pairs are reduced
     to their complete cases; failed pairs leave NaN cells and a note, and
-    the rest of the matrix still fills in.
+    the rest of the matrix still fills in.  A pair is scored as
+    :func:`spearman` and :func:`partial_spearman` score its complete rows,
+    from one margin fit per column and set of complete rows.
     """
     names = list(biomarkers)
     k = len(names)
     if k < 2:
         raise InputError("a correlation matrix needs at least 2 columns")
     _check_draws(n_perm=n_perm, seed=seed)
-    est = np.eye(k)
-    pval = np.full((k, k), np.nan)
-    notes: list[str] = []
+    cols = [d[name] for name in names]
+
+    @cache
+    def residuals(c: int, rows_key: bytes, adjusted: bool) -> np.ndarray:
+        idx = np.frombuffer(rows_key, dtype=np.intp)
+        col = cols[c].take(idx)
+        if not adjusted:
+            _check_orderable(col)
+            return margin_psr(col, None, "empirical").values
+        Zs = _check_columns(col, Z=Z.take(idx) if Z is not None else None)
+        return margin_psr(col, Zs, default_margin_model(col, Zs)).values
+
+    est, pval, notes = np.eye(k), np.full((k, k), np.nan), []
     for i in range(k):
         for j in range(i + 1, k):
-            ci, cj = d[names[i]], d[names[j]]
-            mask = ~ci.missing & ~cj.missing
-            rows = np.flatnonzero(mask)
+            rows = np.flatnonzero(~cols[i].missing & ~cols[j].missing)
             if rows.size < 3:
                 notes.append(f"{names[i]}/{names[j]}: fewer than 3 complete rows")
                 est[i, j] = est[j, i] = np.nan
                 continue
-            xs, ys = ci.take(rows), cj.take(rows)
-            Zsub = Z.take(rows) if Z is not None else None
-            pair_seed = _fold_seed(seed, _TAG_PAIR, i, j) if seed is not None else None
-            try:
-                r_u = spearman(xs, ys, n_perm=n_perm, seed=pair_seed)
-                est[i, j] = r_u.estimate
-                pval[i, j] = r_u.p_value if r_u.p_value is not None else np.nan
-            except PsrKitError as exc:
-                notes.append(f"{names[i]}/{names[j]} unadjusted: {exc}")
-                est[i, j] = np.nan
-            try:
-                r_a = partial_spearman(
-                    xs, ys, Zsub, n_boot=0, n_perm=n_perm, seed=pair_seed
-                )
-                est[j, i] = r_a.estimate
-                pval[j, i] = r_a.p_value if r_a.p_value is not None else np.nan
-            except PsrKitError as exc:
-                notes.append(f"{names[i]}/{names[j]} adjusted: {exc}")
-                est[j, i] = np.nan
+            key = rows.tobytes()
+            for cell, adjusted in (((i, j), False), ((j, i), True)):
+                try:
+                    u, v = residuals(i, key, adjusted), residuals(j, key, adjusted)
+                    est[cell] = _pearson(u, v)
+                    if n_perm:
+                        rng = _substream(_fold_seed(seed, _TAG_PAIR, i, j), _TAG_PERM)
+                        pval[cell] = _perm_pvalue(u, v, est[cell], n_perm, rng, _pearson)
+                except PsrKitError as exc:
+                    label = "adjusted" if adjusted else "unadjusted"
+                    notes.append(f"{names[i]}/{names[j]} {label}: {exc}")
+                    est[cell] = np.nan
     return names, est, pval, notes

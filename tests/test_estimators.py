@@ -749,6 +749,15 @@ class TestPoisson:
         with pytest.raises(InputError):
             fit_poisson(Column.continuous("y", [0.5, 1.5]))
 
+    def test_iteration_cap_raises(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(0, 1, 80)
+        y = Column.count("k", rng.poisson(np.exp(0.4 + 0.6 * x)))
+        with pytest.raises(
+            ConvergenceError, match=r"poisson fit of 'k' did not converge: .* after 1 iterations"
+        ):
+            fit_poisson(y, DesignMatrix(x[:, None], ("x",)), max_iter=1)
+
 
 class TestExponentialSurvival:
     def test_intercept_only_closed_form(self):

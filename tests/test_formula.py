@@ -168,6 +168,19 @@ class TestFitDispatch:
         with pytest.raises(InputError, match="unknown margin model 'quantile'"):
             fit_spec(spec, self._dataset())
 
+    def test_unknown_family_has_one_text(self):
+        # the parser and the fit look the family up in one place
+        with pytest.raises(ModelSpecError) as parsed:
+            parse_model_spec("quantile(y ~ x)")
+        with pytest.raises(InputError) as fitted:
+            fit_spec(ModelSpec("quantile", "y", (Term("age"),)), self._dataset())
+        assert str(parsed.value) == str(fitted.value)
+        assert str(parsed.value) == (
+            "unknown margin model 'quantile'; choose from empirical, linear, "
+            "linear-empirical, orm-logit, orm-probit, orm-cloglog, orm-loglog, "
+            "poisson, exp-surv"
+        )
+
     def test_linear_empirical_same_coefficients_as_linear(self):
         d = self._dataset()
         fit_le, X = fit_spec(parse_model_spec("linear-empirical(y ~ age)"), d)

@@ -5,8 +5,10 @@ conditional CDFs (Liu, Li, Wanga & Shepherd, Biometrics 2018), so it
 depends on an orderable column only through the order of its values, and
 the correlation is symmetric in its two residual vectors.  Each property
 compares two runs of psrkit on drawn data; where the first run raises, the
-second must raise the same error.
+second must raise the same error.  Fitted margins are also invariant, up to
+rounding, to how Z is written and to the order of the rows.
 """
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from psrkit.rank_association import (
 )
 
 ORDER_MARGINS = ["empirical"] + [f"orm-{link}" for link in CUMULATIVE_LINKS]
+FITTED_MARGINS = [f"orm-{link}" for link in CUMULATIVE_LINKS] + ["linear", "linear-empirical"]
 
 
 def _levels(rng, latent, k):
@@ -37,13 +40,14 @@ def _levels(rng, latent, k):
 
 
 @st.composite
-def panels(draw, max_n=300):
+def panels(draw, max_n=300, min_p=0):
     """Columns x and y, a design Z (None for no covariates) and a seed: n in
-    [30, ``max_n``] rows, each column with drawn ties."""
+    [30, ``max_n``] rows, each column with drawn ties, and ``min_p`` to 2
+    covariates."""
     n = draw(st.integers(30, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ties = st.one_of(st.none(), st.integers(2, 12))
-    p = draw(st.integers(0, 2))
+    p = draw(st.integers(min_p, 2))
     Zm = rng.normal(size=(n, p))
     if p == 2:
         Zm[:, 1] = rng.random(n) < 0.5
@@ -142,3 +146,53 @@ def test_scan_estimate_is_partial_spearman(panel, width, link):
             assert row.estimate == res.estimate
         else:
             assert abs(row.estimate - res.estimate) <= 1e-15
+
+
+def _fitted_estimate(x, y, Z, margins):
+    """``partial_spearman``'s estimate with no draws, the type of the error
+    it raised, or None where a margin separated: a capped fit stops at a
+    point that depends on how Z is written."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        res = _outcome(partial_spearman, x, y, Z, x_model=margins[0], y_model=margins[1],
+                       n_boot=0, n_perm=0)
+    if any("complete separation" in str(w.message) for w in caught):
+        return None
+    return res[0] if isinstance(res, tuple) else res.estimate
+
+
+def _assert_same_estimate(before, after):
+    if before is None or after is None:
+        return
+    if isinstance(before, float) and isinstance(after, float):
+        assert abs(before - after) <= 1e-12
+    else:
+        assert before == after
+
+
+_fitted_margins = st.tuples(st.sampled_from(FITTED_MARGINS), st.sampled_from(FITTED_MARGINS))
+
+
+@given(panel=panels(min_p=1), margins=_fitted_margins, map_seed=st.integers(0, 2**31))
+@settings(max_examples=25, deadline=None)
+def test_affine_change_of_z_keeps_estimate(panel, margins, map_seed):
+    # Z -> ZA + c with A = Q diag(s), Q orthogonal and s in [0.5, 2]: the
+    # fitted conditional CDFs, and so the residuals, do not change
+    x, y, Z, _ = panel
+    rng = np.random.default_rng(map_seed)
+    q = np.linalg.qr(rng.normal(size=(Z.p, Z.p)))[0]
+    A = q * rng.uniform(0.5, 2.0, Z.p)
+    moved = DesignMatrix(Z.matrix @ A + rng.uniform(-5.0, 5.0, Z.p), Z.names)
+    before = _fitted_estimate(x, y, Z, margins)
+    _assert_same_estimate(before, _fitted_estimate(x, y, moved, margins))
+
+
+@given(panel=panels(), margins=_fitted_margins, perm_seed=st.integers(0, 2**31))
+@settings(max_examples=25, deadline=None)
+def test_row_permutation_keeps_estimate(panel, margins, perm_seed):
+    x, y, Z, _ = panel
+    perm = np.random.default_rng(perm_seed).permutation(x.n)
+    before = _fitted_estimate(x, y, Z, margins)
+    moved = Z.take(perm) if Z is not None else None
+    after = _fitted_estimate(x.take(perm), y.take(perm), moved, margins)
+    _assert_same_estimate(before, after)

@@ -12,7 +12,7 @@ from scipy import stats
 from psrkit.data_model import Column, Dataset, DesignMatrix
 from psrkit.estimators import fit_linear_normal
 from psrkit import rank_association as ra
-from psrkit.exceptions import InputError, NumericError
+from psrkit.exceptions import DegenerateFitError, InputError, NumericError, PsrKitError
 from psrkit.psr import psr_all, psr_from_omers
 from psrkit.rank_association import (
     ScanConfig,
@@ -227,6 +227,15 @@ class TestMarginModels:
         col = Column.continuous("x", np.arange(5.0))
         with pytest.raises(InputError, match="margin model"):
             margin_psr(col, None, "quantile")
+
+    def test_failed_member_fit_is_returned(self):
+        # a member whose rows hold only zero counts fails; its neighbour fits
+        col = Column.count("k", [0, 0, 0, 1, 2, 3, 0, 4])
+        rows = [np.array([0, 1, 2, 6]), np.arange(8)]
+        fits = ra._margin("poisson").fit_rows([col, col], None, rows)
+        assert isinstance(fits[0], DegenerateFitError)
+        assert str(fits[0]) == "column 'k': all counts are zero"
+        assert fits[1].alpha[0] == pytest.approx(np.log(10 / 8), abs=1e-12)
 
 
 #: every estimator over columns x, y and a design Z; conditional_spearman
@@ -927,6 +936,20 @@ class TestBatchScan:
         )
         assert [(r.name, r.status) for r in rows] == [(c.name, "degenerate") for c in flat]
 
+    def test_predictor_equal_to_a_z_column_is_degenerate(self):
+        rng = np.random.default_rng(26)
+        n = 80
+        age = rng.normal(size=n)
+        sex = (rng.random(n) < 0.5).astype(float)
+        y = Column.continuous("y", age + sex + rng.normal(size=n))
+        Z = DesignMatrix(np.column_stack([age, sex]), ("age", "sex"))
+        (row,) = batch_partial_spearman(
+            y, Z, [Column.binary("sex", sex)], ScanConfig(n_perm=9, seed=5)
+        )
+        assert (row.status, row.detail) == (
+            "degenerate", "predictor residuals have (near) zero variance given Z"
+        )
+
     def test_seed_required(self):
         rng = np.random.default_rng(23)
         y, Z, preds = self._setup(rng, n=50, n_null=1)
@@ -1006,3 +1029,115 @@ class TestCorrelationMatrix:
         with pytest.raises(InputError, match="seed"):
             correlation_matrix(d, ["a", "b"], None, n_perm=9, seed=None)
         assert fits == []
+
+
+def _reference_matrix(d, names, Z, n_perm, seed):
+    """``correlation_matrix`` as the public estimators give it: each pair's
+    complete rows scored by ``spearman`` and ``partial_spearman``."""
+    k = len(names)
+    est, pval, notes = np.eye(k), np.full((k, k), np.nan), []
+    for i in range(k):
+        for j in range(i + 1, k):
+            ci, cj = d[names[i]], d[names[j]]
+            rows = np.flatnonzero(~ci.missing & ~cj.missing)
+            if rows.size < 3:
+                notes.append(f"{names[i]}/{names[j]}: fewer than 3 complete rows")
+                est[i, j] = est[j, i] = np.nan
+                continue
+            xs, ys = ci.take(rows), cj.take(rows)
+            Zs = Z.take(rows) if Z is not None else None
+            pair_seed = ra._fold_seed(seed, ra._TAG_PAIR, i, j)
+            scores = (
+                ((i, j), "unadjusted", lambda: spearman(xs, ys, n_perm=n_perm, seed=pair_seed)),
+                ((j, i), "adjusted", lambda: partial_spearman(
+                    xs, ys, Zs, n_boot=0, n_perm=n_perm, seed=pair_seed
+                )),
+            )
+            for cell, label, score in scores:
+                try:
+                    res = score()
+                except PsrKitError as exc:
+                    notes.append(f"{names[i]}/{names[j]} {label}: {exc}")
+                    est[cell] = np.nan
+                else:
+                    est[cell] = res.estimate
+                    pval[cell] = np.nan if res.p_value is None else res.p_value
+    return est, pval, notes
+
+
+def _matrix_panel(seed, missing_share, n=48):
+    """A biomarker panel with every kind of pair the matrix meets: distinct
+    and tied values, an ordinal and a censored column, a constant column, a
+    binary column that Z separates and a column with 2 observed cells; each
+    column but the last misses about ``missing_share`` of its cells."""
+    rng = np.random.default_rng(seed)
+    age = rng.normal(size=n)
+    sex = (rng.random(n) < 0.5).astype(float)
+    sex[:2] = 0.0, 1.0
+    shared = age + sex
+
+    def gaps():
+        return rng.random(n) < missing_share
+
+    thin = np.ones(n, bool)
+    thin[rng.choice(n, 2, replace=False)] = False
+    cols = (
+        Column.continuous("a", shared + rng.normal(size=n), gaps()),
+        Column.continuous("b", np.round(shared + rng.normal(size=n)), gaps()),
+        Column.ordinal("c", np.clip(np.round(shared + 1), 0, 2), ("lo", "mid", "hi"), gaps()),
+        Column.continuous("flat", np.full(n, 2.0), gaps()),
+        Column.binary("sep", (age > 0).astype(float), gaps()),
+        Column.right_censored("t", rng.exponential(size=n), rng.random(n) < 0.7, gaps()),
+        Column.continuous("thin", rng.normal(size=n), thin),
+    )
+    Z = DesignMatrix(np.column_stack([age, sex]), ("age", "sex"))
+    return Dataset(cols), [c.name for c in cols], Z
+
+
+class TestMatrixPairs:
+    """The matrix scores each pair as the public estimators do on that
+    pair's complete rows, bit for bit, while fitting each column's margin
+    once per row set."""
+
+    @pytest.mark.filterwarnings("ignore:fit of .* complete separation suspected")
+    @pytest.mark.parametrize("missing_share", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("adjust", [False, True])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_equals_per_pair_estimators(self, seed, adjust, missing_share):
+        d, names, Z = _matrix_panel(seed, missing_share)
+        Z = Z if adjust else None
+        n_perm = 19 if seed % 2 else 0
+        _, est, pval, notes = correlation_matrix(d, names, Z, n_perm=n_perm, seed=seed)
+        ref_est, ref_pval, ref_notes = _reference_matrix(d, names, Z, n_perm, seed)
+        assert est.tobytes() == ref_est.tobytes()
+        assert pval.tobytes() == ref_pval.tobytes()
+        assert notes == ref_notes
+        assert any("fewer than 3 complete rows" in note for note in notes)
+        assert any(" adjusted: " in note for note in notes)
+
+    def test_one_margin_fit_per_column_and_triangle(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        n, k = 60, 4
+        z = rng.normal(size=n)
+        d = Dataset(tuple(Column.continuous(f"m{c}", z + rng.normal(size=n)) for c in range(k)))
+        Z = DesignMatrix(z[:, None], ("z",))
+        calls = []
+        real = ra.margin_psr
+
+        def counted(col, Z, model):
+            calls.append((col.name, model))
+            return real(col, Z, model)
+
+        monkeypatch.setattr(ra, "margin_psr", counted)
+        correlation_matrix(d, d.names, Z, n_perm=9, seed=1)
+        assert sorted(calls) == sorted(
+            (f"m{c}", model) for c in range(k) for model in ("empirical", "orm-logit")
+        )
+
+    def test_unknown_column_raises_before_any_fit(self, monkeypatch):
+        d = Dataset(tuple(Column.continuous(name, np.arange(20.0) % 7) for name in "ab"))
+        calls = []
+        monkeypatch.setattr(ra, "margin_psr", lambda *args: calls.append(args))
+        with pytest.raises(InputError, match="no column named 'zz'"):
+            correlation_matrix(d, ["a", "b", "zz"], None, n_perm=0)
+        assert calls == []
