@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -454,6 +454,15 @@ def _check_draws(
         raise InputError(f"a seed{flag('seed')} is required whenever resampling is requested")
 
 
+def _score(u, v, stat, n_perm, seed, *tags):
+    """``stat`` of the residual pair and its permutation p-value (NaN without
+    draws), drawn from the substream ``(seed, *tags)``."""
+    observed = stat(u, v, None)
+    if not n_perm:
+        return observed, np.nan
+    return observed, _perm_pvalue(u, v, observed, n_perm, _substream(seed, *tags), stat)
+
+
 def _resampled_results(
     x, y, Z, x_model, y_model, *, stat, method, n_boot, n_perm, seed, tags=(), workers=1
 ) -> list[AssocResult]:
@@ -466,7 +475,7 @@ def _resampled_results(
     y_model = y_model or default_margin_model(y, Z)
     u = margin_psr(x, Z, x_model).values
     v = margin_psr(y, Z, y_model).values
-    observed = stat(u, v, None)
+    observed, p = _score(u, v, stat, n_perm, seed, *tags, _TAG_PERM)
     estimates = np.atleast_1d(observed).tolist()
     ci_low = ci_high = p_values = [None] * len(estimates)
     info: list[ResamplingInfo] = []
@@ -482,8 +491,6 @@ def _resampled_results(
         if capped:
             notes.append(f"{capped} of {n_boot} bootstrap replicates capped coefficients")
     if n_perm:
-        rng = _substream(seed, *tags, _TAG_PERM)
-        p = _perm_pvalue(u, v, observed, n_perm, rng, stat)
         p_values = np.atleast_1d(p).tolist()
         info.append(ResamplingInfo("permutation", n_perm, seed))
     return [
@@ -761,15 +768,11 @@ def _scan_row(col, observed, idx, fit, margin, ypsr, Z, n_perm, seed) -> ScanRow
             col.name, np.nan, np.nan, n_used, "degenerate",
             "predictor residuals have (near) zero variance given Z",
         )
-    v = ypsr[observed]
     try:
-        est = _pearson(u, v)
+        est, p = _score(u, ypsr[observed], _pearson, n_perm, seed, _TAG_SCAN, idx)
     except DegenerateFitError as exc:
         return ScanRow(col.name, np.nan, np.nan, n_used, "degenerate", str(exc))
-    p = np.nan
-    if n_perm:
-        p = float(_perm_pvalue(u, v, est, n_perm, _substream(seed, _TAG_SCAN, idx), _pearson))
-    return ScanRow(col.name, est, p, n_used, "ok", "; ".join(fit.notes))
+    return ScanRow(col.name, est, float(p), n_used, "ok", "; ".join(fit.notes))
 
 
 def batch_partial_spearman(
@@ -849,15 +852,18 @@ def correlation_matrix(
     _check_draws(n_perm=n_perm, seed=seed)
     cols = [d[name] for name in names]
 
-    @cache
-    def residuals(c: int, rows_key: bytes, adjusted: bool) -> np.ndarray:
-        idx = np.frombuffer(rows_key, dtype=np.intp)
-        col = cols[c].take(idx)
-        if not adjusted:
-            _check_orderable(col)
-            return margin_psr(col, None, "empirical").values
-        Zs = _check_columns(col, Z=Z.take(idx) if Z is not None else None)
-        return margin_psr(col, Zs, default_margin_model(col, Zs)).values
+    last = {}  # (column, adjusted) -> (rows, residuals) of its last fit; memory stays O(k n)
+
+    def residuals(c: int, rows: np.ndarray, adjusted: bool) -> np.ndarray:
+        hit = last.get((c, adjusted))
+        if hit is None or not np.array_equal(hit[0], rows):
+            col = cols[c].take(rows)
+            if not adjusted:
+                _check_orderable(col)
+            Zs = _check_columns(col, Z=Z.take(rows) if adjusted and Z is not None else None)
+            model = default_margin_model(col, Zs) if adjusted else "empirical"
+            last[c, adjusted] = hit = (rows, margin_psr(col, Zs, model).values)
+        return hit[1]
 
     est, pval, notes = np.eye(k), np.full((k, k), np.nan), []
     for i in range(k):
@@ -867,14 +873,11 @@ def correlation_matrix(
                 notes.append(f"{names[i]}/{names[j]}: fewer than 3 complete rows")
                 est[i, j] = est[j, i] = np.nan
                 continue
-            key = rows.tobytes()
+            pair_seed = _fold_seed(seed, _TAG_PAIR, i, j) if n_perm else None
             for cell, adjusted in (((i, j), False), ((j, i), True)):
                 try:
-                    u, v = residuals(i, key, adjusted), residuals(j, key, adjusted)
-                    est[cell] = _pearson(u, v)
-                    if n_perm:
-                        rng = _substream(_fold_seed(seed, _TAG_PAIR, i, j), _TAG_PERM)
-                        pval[cell] = _perm_pvalue(u, v, est[cell], n_perm, rng, _pearson)
+                    u, v = residuals(i, rows, adjusted), residuals(j, rows, adjusted)
+                    est[cell], pval[cell] = _score(u, v, _pearson, n_perm, pair_seed, _TAG_PERM)
                 except PsrKitError as exc:
                     label = "adjusted" if adjusted else "unadjusted"
                     notes.append(f"{names[i]}/{names[j]} {label}: {exc}")
