@@ -39,6 +39,7 @@ from .data_model import (
     ColumnSpec,
     Dataset,
     MISSING_TOKEN,
+    _format_number,
     _open_csv,
     build_design,
     complete_cases,
@@ -107,8 +108,7 @@ def _csv_text(rows) -> str:
 
 def _format_observed(col: Column, i: int) -> str:
     if col.kind is ColumnKind.RIGHT_CENSORED:
-        t = float(col.values[i])
-        s = str(int(t)) if t.is_integer() else repr(t)
+        s = _format_number(col.values[i])
         return s if col.events is not None and col.events[i] else s + "+"
     return col.label_of(col.values[i])
 

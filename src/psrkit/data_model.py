@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import csv
 import enum
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import compress
 
 import numpy as np
 
@@ -274,12 +274,8 @@ def parse_schema(text: str) -> tuple[ColumnSpec, ...]:
         name, kind_txt = name.strip(), kind_txt.strip()
         if not name:
             raise SchemaError(f"schema entry {chunk!r} has an empty column name")
-        if kind_txt == "continuous":
-            specs.append(ColumnSpec(name, ColumnKind.CONTINUOUS))
-        elif kind_txt == "binary":
-            specs.append(ColumnSpec(name, ColumnKind.BINARY))
-        elif kind_txt == "count":
-            specs.append(ColumnSpec(name, ColumnKind.COUNT))
+        if kind_txt in ("continuous", "binary", "count"):
+            specs.append(ColumnSpec(name, ColumnKind(kind_txt)))
         elif kind_txt.startswith("ordinal(") and kind_txt.endswith(")"):
             levels = tuple(s.strip() for s in kind_txt[len("ordinal(") : -1].split("<"))
             if len(levels) < 2 or any(not s for s in levels):
@@ -329,11 +325,6 @@ def _split_outside_parens(
     return parts
 
 
-def _is_missing(tok: str) -> bool:
-    """The one missing-cell rule: stripped of blanks, the cell is empty or ``NA``."""
-    return tok.strip() in _MISSING_CELLS
-
-
 @contextmanager
 def _open_csv(path):
     """``path`` opened as UTF-8 text for :mod:`csv`.  A byte that does not
@@ -379,7 +370,6 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
             raise SchemaError(f"{path}: field {name!r} appears more than once in the header")
         return index[name]
 
-    n = len(rows)
     for rn, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {rn} has {len(row)} fields, expected {len(header)}")
@@ -387,72 +377,63 @@ def load_csv(path, schema: str | tuple[ColumnSpec, ...]) -> Dataset:
     columns: list[partial] = []
     for spec in schema:
         where = f"{path}: column {spec.name!r}"
-        if spec.kind is ColumnKind.RIGHT_CENSORED:
-            ti, ei = field_idx(spec.time_field), field_idx(spec.event_field)
-            vals = np.zeros(n)
-            evs = np.zeros(n)
-            miss = np.zeros(n, dtype=bool)
-            for rn, row in enumerate(rows):
-                t_tok, e_tok = row[ti], row[ei]
-                if _is_missing(t_tok) or _is_missing(e_tok):
-                    miss[rn] = True
-                    continue
-                vals[rn] = _parse_float(t_tok, where, rn + 1)
-                evs[rn] = _parse_float(e_tok, where, rn + 1)
-            columns.append(
-                partial(
-                    Column.right_censored, spec.name, vals, evs, missing=miss,
-                    source_fields=(spec.time_field, spec.event_field),
-                )
+        censored = spec.kind is ColumnKind.RIGHT_CENSORED
+        fields = (spec.time_field, spec.event_field) if censored else (spec.name,)
+        toks = [[row[i] for row in rows] for i in map(field_idx, fields)]
+        # a censored row is missing when either of its fields is
+        miss = reduce(np.logical_or, map(_missing, toks))
+        parsed = [_parse_cells(t, miss, where, spec.levels) for t in toks]
+        # freed before the next entry's cells are taken, as the numeric parse
+        # always did: the order sets the heap a scan's forked workers inherit
+        del toks
+        events, source_fields = (parsed[1], fields) if censored else (None, None)
+        columns.append(
+            partial(
+                Column, spec.name, spec.kind, parsed[0], miss, spec.levels, events, source_fields
             )
-            continue
-        ci = field_idx(spec.name)
-        if spec.kind is ColumnKind.ORDINAL:
-            vals = np.zeros(n)
-            miss = np.zeros(n, dtype=bool)
-            code = {lbl: float(i) for i, lbl in enumerate(spec.levels)}
-            for rn, row in enumerate(rows):
-                tok = row[ci]
-                if _is_missing(tok):
-                    miss[rn] = True
-                elif tok in code:
-                    vals[rn] = code[tok]
-                else:
-                    raise SchemaError(f"{where} row {rn + 1}: {tok!r} is not a declared level")
-            columns.append(partial(Column.ordinal, spec.name, vals, spec.levels, missing=miss))
-        else:
-            vals, miss = _parse_numeric([row[ci] for row in rows], where)
-            columns.append(partial(Column, spec.name, spec.kind, vals, miss))
+        )
     # built after the parse, the columns' checked copies are allocated
     # together, not between the parse's temporaries: spread among those,
     # they made the heap that a scan's forked workers inherit fault more
     return Dataset(tuple(make() for make in columns))
 
 
-def _parse_numeric(toks: list[str], where: str) -> tuple[np.ndarray, np.ndarray]:
-    """Values and missing mask of one numeric column's cells, parsed whole.
-
-    A malformed or non-finite cell sends the column through
-    :func:`_parse_float` cell by cell, which raises for the first bad row.
-    """
-    miss = np.fromiter(
+def _missing(toks: list[str]) -> np.ndarray:
+    """The one missing-cell rule: stripped of blanks, the cell is empty or ``NA``."""
+    return np.fromiter(
         map(_MISSING_CELLS.__contains__, map(str.strip, toks)), dtype=bool, count=len(toks)
     )
+
+
+def _parse_cells(toks: list[str], miss: np.ndarray, where: str, levels=None) -> np.ndarray:
+    """Values of one field's cells, parsed whole: numbers, or the codes of the
+    declared ``levels``; missing cells hold 0.
+
+    A malformed or non-finite cell sends the field through
+    :func:`_parse_cell` row by row, which raises for the first bad row.
+    """
+    parse = float if levels is None else {lbl: float(i) for i, lbl in enumerate(levels)}.__getitem__
     vals = np.zeros(len(toks))
     present = ~miss
     try:
-        vals[present] = list(map(float, itertools.compress(toks, present)))
-    except ValueError:
+        vals[present] = list(map(parse, compress(toks, present)))
+    except (ValueError, KeyError):
         pass
     else:
         if np.isfinite(vals).all():
-            return vals, miss
-    cells = zip(toks, miss)
-    vals = [0.0 if m else _parse_float(tok, where, rn) for rn, (tok, m) in enumerate(cells, 1)]
-    return np.array(vals), miss
+            return vals
+    rows = np.flatnonzero(present)
+    vals[rows] = [_parse_cell(toks[r], where, r + 1, levels) for r in rows]
+    return vals
 
 
-def _parse_float(tok: str, where: str, rownum: int) -> float:
+def _parse_cell(tok: str, where: str, rownum: int, levels=None) -> float:
+    """One present cell: a finite number, or the code of one of the declared
+    ``levels``; a bad cell raises :class:`SchemaError` naming its row."""
+    if levels is not None:
+        if tok not in levels:
+            raise SchemaError(f"{where} row {rownum}: {tok!r} is not a declared level")
+        return float(levels.index(tok))
     try:
         v = float(tok)
     except ValueError:
@@ -462,17 +443,20 @@ def _parse_float(tok: str, where: str, rownum: int) -> float:
     return v
 
 
+def _format_number(v) -> str:
+    """A number's cell text: its digits when whole, else its shortest
+    round-trip ``repr``."""
+    v = float(v)
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
 def _format_cell(col: Column, i: int) -> str:
     if col.missing[i]:
         return MISSING_TOKEN
     v = col.values[i]
     if col.kind is ColumnKind.ORDINAL:
         return col.levels[int(v)]
-    if col.kind in (ColumnKind.BINARY, ColumnKind.COUNT):
-        return str(int(v))
-    if float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
+    return _format_number(v)
 
 
 def write_csv(d: Dataset, path) -> None:
@@ -498,8 +482,7 @@ def write_csv(d: Dataset, path) -> None:
                     if c.missing[i]:
                         row.extend([MISSING_TOKEN, MISSING_TOKEN])
                     else:
-                        t = c.values[i]
-                        row.append(str(int(t)) if float(t).is_integer() else repr(float(t)))
+                        row.append(_format_number(c.values[i]))
                         row.append(str(int(c.events[i])))
                 else:
                     row.append(_format_cell(c, i))

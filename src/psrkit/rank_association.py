@@ -335,7 +335,8 @@ def _perm_pvalue(u, v, observed, n_perm, rng, stat):
         stack = np.tile(v, (min(block, n_perm - start), 1))
         stats = stat(u, rng.permuted(stack, axis=1, out=stack), None)
         hits = hits + np.count_nonzero(np.abs(stats) >= target, axis=0)
-    return (1 + hits) / (n_perm + 1)
+    # an output with no observed value (NaN) has no p-value either
+    return np.where(np.isnan(observed), np.nan, (1 + hits) / (n_perm + 1))
 
 
 def _pool_map(task, items, n_items: int, workers: int) -> list:
@@ -382,23 +383,23 @@ def _boot_block(idxs, x, y, Z, x_model, y_model, stat) -> list[tuple[object, boo
     The block's replicates are refitted together, one margin at a time, and
     then taken in order: a replicate whose refit or residuals raise a
     :class:`NumericError` gets None, any other error propagates, and a
-    replicate counts as capped when a refit made before that point capped.
+    replicate counts as capped when either of its refits capped, so that
+    the count does not depend on which margin is x.
     """
     x_margin, y_margin = _margin(x_model), _margin(y_model)
     x_fits = x_margin.fit_rows([x] * len(idxs), Z, idxs)
     y_fits = y_margin.fit_rows([y] * len(idxs), Z, idxs)
     out = []
     for idx, x_fit, y_fit in zip(idxs, x_fits, y_fits):
-        was_capped = False
+        margins = ((x_margin, x, x_fit), (y_margin, y, y_fit))
+        was_capped = any(
+            isinstance(fit, ModelFit) and any(_CAPPED in note for note in fit.notes)
+            for _, _, fit in margins
+        )
         draw = None
         try:
-            psr = []
-            for margin, col, fit in ((x_margin, x, x_fit), (y_margin, y, y_fit)):
-                was_capped |= isinstance(fit, ModelFit) and any(
-                    _CAPPED in note for note in fit.notes
-                )
-                psr.append(margin.rows_psr(fit, col, Z, idx).values)
-            draw = stat(*psr, idx)
+            u, v = (margin.rows_psr(fit, col, Z, idx).values for margin, col, fit in margins)
+            draw = stat(u, v, idx)
         except NumericError:
             pass
         out.append((draw, was_capped))
@@ -428,7 +429,11 @@ def _bootstrap_ci(x, y, Z, x_model, y_model, n_boot, rng, stat, workers):
     capped = sum(was_capped for _, was_capped in replicates)
     if len(draws) < max(2, n_boot // 2):
         raise NumericError(f"bootstrap failed: only {len(draws)} of {n_boot} replicates usable")
-    lo, hi = np.nanpercentile(np.array(draws), [2.5, 97.5], axis=0).reshape(2, -1)
+    draws = np.array(draws).reshape(len(draws), -1)
+    # an output that is NaN in every replicate gets NaN bounds, not a warning
+    empty = np.isnan(draws).all(axis=0)
+    lo, hi = np.nanpercentile(np.where(empty, 0.0, draws), [2.5, 97.5], axis=0)
+    lo[empty] = hi[empty] = np.nan
     return lo.tolist(), hi.tolist(), n_boot - len(draws), capped
 
 
@@ -634,9 +639,7 @@ def _conditional_categorical(x, y, z, x_model, y_model, n_boot, n_perm, seed):
         xs, ys = x.take(rows), y.take(rows)
         sub_seed = _fold_seed(seed, _TAG_STRATUM, int(code)) if seed is not None else None
         (res,) = _resampled_results(
-            xs, ys, None,
-            x_model or "empirical", y_model or "empirical",
-            stat=_pearson, method="conditional_spearman",
+            xs, ys, None, x_model, y_model, stat=_pearson, method="conditional_spearman",
             n_boot=n_boot, n_perm=n_perm, seed=sub_seed,
         )
         label = z.levels[int(code)] if z.levels is not None else int(code)
@@ -677,18 +680,14 @@ def _conditional_continuous(x, y, z, x_model, y_model, n_grid, bandwidth, n_boot
     Zd = DesignMatrix(zv[:, None], (z.name,))
     grid = np.linspace(zv.min(), zv.max(), n_grid)
 
-    def kernel(zr: np.ndarray) -> np.ndarray:
-        return np.exp(-0.5 * np.square((zr[None, :] - grid[:, None]) / h))
-
-    weights = kernel(zv)
+    weights = np.exp(-0.5 * np.square((zv[None, :] - grid[:, None]) / h))
 
     def curve(u, v, rows) -> np.ndarray:
-        w = weights if rows is None else kernel(zv[rows])
+        w = weights if rows is None else weights.take(rows, axis=1)
         return np.stack([_weighted_corr(u, v, w[g]) for g in range(n_grid)], axis=-1)
 
     results = _resampled_results(
-        x, y, Zd, x_model or "orm-logit", y_model or "orm-logit",
-        stat=curve, method="conditional_spearman",
+        x, y, Zd, x_model, y_model, stat=curve, method="conditional_spearman",
         n_boot=n_boot, n_perm=n_perm, seed=seed, tags=(_TAG_GRID,),
     )
     return list(zip(grid.tolist(), results))
@@ -851,6 +850,8 @@ def correlation_matrix(
         raise InputError("a correlation matrix needs at least 2 columns")
     _check_draws(n_perm=n_perm, seed=seed)
     cols = [d[name] for name in names]
+    if Z is not None and Z.n != d.n:
+        raise InputError("Z does not align with the columns")
 
     last = {}  # (column, adjusted) -> (rows, residuals) of its last fit; memory stays O(k n)
 

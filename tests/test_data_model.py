@@ -1,7 +1,10 @@
 """Columns, schemas, CSV round-trips, design matrices, spline bases."""
 import csv
+import math
 import re
+import tempfile
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -280,14 +283,171 @@ class TestCsvIO:
     )
     @settings(max_examples=60, deadline=None)
     def test_round_trip_floats_bit_exact(self, vals):
-        import tempfile
-
         d = Dataset((Column.continuous("y", vals),))
         with tempfile.TemporaryDirectory() as tmp:
             p = f"{tmp}/x.csv"
             write_csv(d, p)
             d2 = load_csv(p, "y:continuous")
         assert np.array_equal(d["y"].values, d2["y"].values)
+
+
+def _reference_float(tok, where, rownum):
+    try:
+        v = float(tok)
+    except ValueError:
+        raise SchemaError(f"{where} row {rownum}: cannot parse {tok!r}") from None
+    if not math.isfinite(v):
+        raise SchemaError(f"{where} row {rownum}: non-finite value {tok!r}")
+    return v
+
+
+def _reference_columns(path, header, rows, schema):
+    """The columns of a parsed CSV read cell by cell, one loop per kind, as
+    ``load_csv`` read them before it had one parser for every kind."""
+    at = {name: i for i, name in enumerate(header)}
+    n = len(rows)
+    columns = []
+    for spec in parse_schema(schema):
+        where = f"{path}: column {spec.name!r}"
+        if spec.kind is ColumnKind.RIGHT_CENSORED:
+            ti, ei = at[spec.time_field], at[spec.event_field]
+            vals, evs, miss = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+            for rn, row in enumerate(rows):
+                t_tok, e_tok = row[ti], row[ei]
+                if t_tok.strip() in ("", "NA") or e_tok.strip() in ("", "NA"):
+                    miss[rn] = True
+                    continue
+                vals[rn] = _reference_float(t_tok, where, rn + 1)
+                evs[rn] = _reference_float(e_tok, where, rn + 1)
+            columns.append(partial(
+                Column.right_censored, spec.name, vals, evs, missing=miss,
+                source_fields=(spec.time_field, spec.event_field),
+            ))
+            continue
+        ci = at[spec.name]
+        vals, miss = np.zeros(n), np.zeros(n, dtype=bool)
+        for rn, row in enumerate(rows):
+            tok = row[ci]
+            if tok.strip() in ("", "NA"):
+                miss[rn] = True
+            elif spec.kind is not ColumnKind.ORDINAL:
+                vals[rn] = _reference_float(tok, where, rn + 1)
+            elif tok in spec.levels:
+                vals[rn] = spec.levels.index(tok)
+            else:
+                raise SchemaError(f"{where} row {rn + 1}: {tok!r} is not a declared level")
+        if spec.kind is ColumnKind.ORDINAL:
+            columns.append(partial(Column.ordinal, spec.name, vals, spec.levels, missing=miss))
+        else:
+            columns.append(partial(Column, spec.name, spec.kind, vals, miss))
+    return Dataset(tuple(make() for make in columns))
+
+
+def _read(reader, *args):
+    """The reader's dataset as plain values per column, or its error."""
+    try:
+        d = reader(*args)
+    except (SchemaError, InputError) as exc:
+        return type(exc), str(exc)
+    return [
+        (c.name, c.kind, c.levels, c.source_fields, c.values.tolist(), c.missing.tolist(),
+         None if c.events is None else c.events.tolist())
+        for c in d.columns
+    ]
+
+
+_KINDS = ["continuous", "binary", "count", "ordinal(I<II<III)", "surv"]
+_MISSING = ["", "NA", " NA "]
+_NUMBERS = ["0", "1", "2", "1.5", "-3", " 2 "] + _MISSING
+_LEVELS = ["I", "II", "III"] + _MISSING
+_TOKENS = sorted(set(_NUMBERS + _LEVELS + ["IV", " I", "x", "inf", "1e400"]))
+
+
+def _made_valid(tok):
+    """``tok``, or 1 in place of a present cell that is not a finite number."""
+    if tok.strip() in ("", "NA"):
+        return tok
+    try:
+        return tok if math.isfinite(float(tok)) else "1"
+    except ValueError:
+        return "1"
+
+
+def _failed_column(result, path):
+    """k for a reader's cell error in column ``ck``, else None."""
+    failed = isinstance(result, tuple) and re.match(
+        re.escape(f"{path}: column ") + r"'c(\d+)' row", result[1]
+    )
+    return int(failed[1]) if failed else None
+
+
+class TestOneParser:
+    """``load_csv`` reads every kind as the per-kind cell loops did."""
+
+    @given(
+        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3),
+        n=st.integers(1, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cell_by_cell_reader(self, kinds, n, data):
+        # each field draws from its kind's valid cells, from those and one
+        # invalid token, or from every token
+        header, schema, fields = [], [], []
+        for k, kind in enumerate(kinds):
+            if kind == "surv":
+                header += [f"t{k}", f"e{k}"]
+                schema.append(f"c{k}:surv(t{k},e{k})")
+            else:
+                header.append(f"c{k}")
+                schema.append(f"c{k}:{kind}")
+            valid = _LEVELS if kind.startswith("ordinal") else _NUMBERS
+            for _ in range(2 if kind == "surv" else 1):
+                other = st.just(data.draw(st.sampled_from(sorted(set(_TOKENS) - set(valid)))))
+                cells = st.sampled_from(valid)
+                cells = data.draw(st.sampled_from([cells | other, cells, st.sampled_from(_TOKENS)]))
+                fields.append(data.draw(st.lists(cells, min_size=n, max_size=n)))
+        schema = ",".join(schema)
+        rows = [list(row) for row in zip(*fields)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/d.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header] + rows)
+            got = _read(load_csv, path, schema)
+            want = _read(_reference_columns, path, header, rows, schema)
+            failed = _failed_column(want, path)
+            if failed is not None and kinds[failed] == "surv":
+                # the one declared difference: a censored column whose time
+                # field holds a bad cell names that field's first bad row,
+                # before any bad event row.  With its bad events made valid
+                # the loops name exactly that row.
+                e = header.index(f"e{failed}")
+                fixed = [r[:e] + [_made_valid(r[e])] + r[e + 1 :] for r in rows]
+                again = _read(_reference_columns, path, header, fixed, schema)
+                if _failed_column(again, path) == failed:
+                    want = again
+        assert got == want
+
+    def test_censored_double_fault_names_the_time_row_first(self, tmp_path):
+        p = tmp_path / "d.csv"
+        # the cell-by-cell loop named the bad event in row 1
+        p.write_text("time,event\n1.0,x\noops,1\n2.0,y\n")
+        tail = "column 't' row 2: cannot parse 'oops'"
+        with pytest.raises(SchemaError, match=re.escape(f"{p}: {tail}") + "$"):
+            load_csv(p, "t:surv(time,event)")
+        # without a bad time, the first bad event row is named
+        p.write_text("time,event\n1.0,1\n3.0,inf\n2.0,y\n")
+        tail = "column 't' row 2: non-finite value 'inf'"
+        with pytest.raises(SchemaError, match=re.escape(f"{p}: {tail}") + "$"):
+            load_csv(p, "t:surv(time,event)")
+
+    def test_half_missing_censored_row_is_not_parsed(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("time,event\nx,NA\n ,y\n2.0,1\n")
+        d = load_csv(p, "t:surv(time,event)")
+        assert d["t"].missing.tolist() == [True, True, False]
+        assert d["t"].values.tolist() == [0.0, 0.0, 2.0]
+        assert d["t"].events.tolist() == [0.0, 0.0, 1.0]
 
 
 class TestCompleteCases:

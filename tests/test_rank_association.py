@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from psrkit.data_model import Column, Dataset, DesignMatrix
+from psrkit.data_model import Column, ColumnKind, Dataset, DesignMatrix
 from psrkit.estimators import fit_linear_normal
 from psrkit import rank_association as ra
 from psrkit.exceptions import DegenerateFitError, InputError, NumericError, PsrKitError
@@ -384,6 +384,39 @@ class TestConditionalSpearman:
                 Column.continuous("z", np.full(n, 2.0)),
             )
 
+    def test_grid_point_without_data_has_no_p_value(self):
+        # two clusters of z, 100 apart: at the middle grid point every
+        # kernel weight underflows to 0, so there is no estimate to test
+        rng = np.random.default_rng(3)
+        z = np.concatenate([rng.normal(0, 1, 30), rng.normal(100, 1, 30)])
+        x = rng.normal(0, 1, 60)
+        y = x + rng.normal(0, 1, 60)
+        curve = conditional_spearman(
+            Column.continuous("x", x), Column.continuous("y", y), Column.continuous("z", z),
+            n_grid=5, bandwidth=1.0, n_perm=99, n_boot=20, seed=1,
+        )
+        empty = curve[2][1]
+        assert np.isnan([empty.estimate, empty.p_value, empty.ci_low, empty.ci_high]).all()
+        for g in (0, 1, 3, 4):
+            r = curve[g][1]
+            assert not np.isnan([r.estimate, r.p_value, r.ci_low, r.ci_high]).any()
+
+    @pytest.mark.parametrize("z_kind", ["binary", "continuous"])
+    def test_censored_x_takes_the_default_margin(self, z_kind):
+        rng = np.random.default_rng(4)
+        zv = rng.normal(0, 1, 60)
+        if z_kind == "binary":
+            zv = (zv > 0).astype(float)
+        t = rng.exponential(np.exp(-0.5 * zv))
+        x = Column.right_censored("t", t, (rng.random(60) < 0.7).astype(float))
+        y = Column.continuous("y", zv + rng.normal(0, 1, 60))
+        z = Column(z_kind, ColumnKind(z_kind), zv, np.zeros(60, dtype=bool))
+        kw = dict(n_grid=3, n_boot=4, n_perm=9, seed=1)
+        got = conditional_spearman(x, y, z, **kw)
+        y_model = "empirical" if z_kind == "binary" else "orm-logit"
+        assert got == conditional_spearman(x, y, z, x_model="exp-surv", y_model=y_model, **kw)
+        assert len(got) == (2 if z_kind == "binary" else 3)
+
 
 def _curve_columns():
     rng = np.random.default_rng(31)
@@ -537,6 +570,24 @@ class TestResamplingEngine:
         r = partial_spearman(*_separable_columns(), n_boot=20, n_perm=0, seed=3)
         assert r.notes == (
             "1 of 20 bootstrap replicates failed and were dropped",
+            "4 of 20 bootstrap replicates capped coefficients",
+        )
+
+    def test_capped_count_does_not_depend_on_which_margin_is_x(self, monkeypatch):
+        # the continuous column's refits fail in replicates 1-7, some of
+        # which capped the separable column's refit
+        sep, y, Z = _separable_columns()
+        w, x = Column.binary("w", sep.values), Column.continuous("x", y.values)
+
+        def notes(*pair):
+            with monkeypatch.context() as m:
+                _fail_x_refits(m, set(range(1, 8)))
+                return partial_spearman(
+                    *pair, Z, x_model="orm-logit", y_model="orm-logit", n_boot=20, n_perm=0, seed=3
+                ).notes
+
+        assert notes(x, w) == notes(w, x) == (
+            "7 of 20 bootstrap replicates failed and were dropped",
             "4 of 20 bootstrap replicates capped coefficients",
         )
 
@@ -1133,6 +1184,16 @@ class TestMatrixPairs:
         assert sorted(calls) == sorted(
             (f"m{c}", model) for c in range(k) for model in ("empirical", "orm-logit")
         )
+
+    @pytest.mark.parametrize("z_rows", [5, 14])
+    def test_z_length_checked_before_any_fit(self, monkeypatch, z_rows):
+        d = Dataset(tuple(Column.continuous(name, np.arange(10.0) % 7) for name in "ab"))
+        Z = DesignMatrix(np.arange(float(z_rows))[:, None], ("w",))
+        calls = []
+        monkeypatch.setattr(ra, "margin_psr", lambda *args: calls.append(args))
+        with pytest.raises(InputError, match="^Z does not align with the columns$"):
+            correlation_matrix(d, ["a", "b"], Z, n_perm=0)
+        assert calls == []
 
     def test_unknown_column_raises_before_any_fit(self, monkeypatch):
         d = Dataset(tuple(Column.continuous(name, np.arange(20.0) % 7) for name in "ab"))
