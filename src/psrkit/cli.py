@@ -38,6 +38,7 @@ from .data_model import (
     ColumnKind,
     ColumnSpec,
     Dataset,
+    DesignMatrix,
     MISSING_TOKEN,
     _format_number,
     _open_csv,
@@ -46,7 +47,7 @@ from .data_model import (
     load_csv,
 )
 from .exceptions import InputError, NumericError
-from .formula import design_for_spec, fit_spec, parse_model_spec, parse_term_list
+from .formula import parse_model_spec, parse_term_list
 from .psr import normal_transform
 from .rank_association import (
     MARGIN_MODELS,
@@ -56,7 +57,6 @@ from .rank_association import (
     _margin_fit,
     batch_partial_spearman,
     correlation_matrix,
-    default_margin_model,
     margin_psr,
     partial_spearman,
 )
@@ -82,12 +82,7 @@ def _usable_cpus() -> int:
 
 
 def _fmt_value(v) -> str:
-    if v is None:
-        return MISSING_TOKEN
-    f = float(v)
-    if np.isnan(f):
-        return MISSING_TOKEN
-    return repr(f)
+    return MISSING_TOKEN if v is None or np.isnan(v) else repr(float(v))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -113,25 +108,20 @@ def _format_observed(col: Column, i: int) -> str:
     return col.label_of(col.values[i])
 
 
-def _load_complete(
-    path: str, schema: str, needed: list[str]
-) -> tuple[Dataset, np.ndarray, int]:
-    """Load a CSV and keep rows complete in the ``needed`` columns.
+def _load(
+    args, names, terms=(), after=()
+) -> tuple[Dataset, np.ndarray, int, DesignMatrix | None]:
+    """Read ``--data`` as ``--schema`` declares it and keep the rows complete
+    in the ``names`` columns, the columns of ``terms`` and the ``after``
+    columns; an error names the first absent column in that order.
 
-    Returns the filtered dataset, the original row indices kept, and the
-    number of rows removed.
+    Returns the complete rows, their original row indices, the number of
+    rows removed, and the design of ``terms`` (None without terms).
     """
-    d = load_csv(path, schema)
-    complete, kept = complete_cases(d, needed)
-    return complete, kept, d.n - kept.size
-
-
-def _model_columns(spec) -> list[str]:
-    names = [spec.outcome]
-    for t in spec.terms:
-        if t.name not in names:
-            names.append(t.name)
-    return names
+    d = load_csv(args.data, args.schema)
+    n = d.n  # rebinding d frees the full table before the design: the scan's pool inherits the heap
+    d, kept = complete_cases(d, [*names, *(t.name for t in terms), *after])
+    return d, kept, n - kept.size, build_design(d, terms) if terms else None
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +131,8 @@ def _model_columns(spec) -> list[str]:
 
 def _cmd_fit(args) -> int:
     spec = parse_model_spec(args.model)
-    d, _, removed = _load_complete(args.data, args.schema, _model_columns(spec))
-    fit, _ = fit_spec(spec, d)
+    d, _, removed, X = _load(args, [spec.outcome], spec.terms)
+    fit = _margin(spec.family).fit(d[spec.outcome], X)
     if fit.alpha.size <= 50:
         intercepts = [float(a) for a in fit.alpha]
     else:
@@ -188,8 +178,8 @@ def _parse_keyed_path(text: str, flag: str) -> tuple[str, str]:
 
 def _cmd_psr(args) -> int:
     spec = parse_model_spec(args.model)
-    d, kept, _ = _load_complete(args.data, args.schema, _model_columns(spec))
-    y, X = design_for_spec(spec, d)
+    d, kept, _, X = _load(args, [spec.outcome], spec.terms)
+    y = d[spec.outcome]
     fit, r = _margin_fit(y, X, spec.family)
     header = ["row_id", "observed", "psr"]
     if args.normal:
@@ -241,12 +231,8 @@ def _cmd_diag(args) -> int:
 
     rbp_items = [_parse_keyed_path(t, "--rbp") for t in (args.rbp or [])]
     spec = parse_model_spec(args.fit_spec)
-    needed = _model_columns(spec)
-    for name, _ in rbp_items:
-        if name not in needed:
-            needed.append(name)
-    d, _, removed = _load_complete(args.data, args.schema, needed)
-    y, X = design_for_spec(spec, d)
+    d, _, removed, X = _load(args, [spec.outcome], spec.terms, [name for name, _ in rbp_items])
+    y = d[spec.outcome]
     r = margin_psr(y, X, spec.family)
     ks = ks_uniform(r)
     summary = {
@@ -290,14 +276,14 @@ def _cmd_diag(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _assoc_csv(res, x_name, y_name, x_model, y_model) -> str:
+def _assoc_csv(res, x_name, y_name) -> str:
     rows = [
         [
             "method", "x", "y", "x_model", "y_model", "estimate",
             "ci_low", "ci_high", "p_value", "n_used", "notes",
         ],
         [
-            res.method, x_name, y_name, x_model, y_model,
+            res.method, x_name, y_name, res.x_model, res.y_model,
             _fmt_value(res.estimate), _fmt_value(res.ci_low),
             _fmt_value(res.ci_high), _fmt_value(res.p_value),
             str(res.n_used), "; ".join(res.notes),
@@ -319,8 +305,7 @@ def _cmd_pcor(args) -> int:
         if not args.cols:
             raise InputError("--matrix needs --cols with at least two column names")
         cols = [c.strip() for c in args.cols.split(",") if c.strip()]
-        d, _, _ = _load_complete(args.data, args.schema, [t.name for t in zterms])
-        Z = build_design(d, zterms) if zterms else None
+        d, _, _, Z = _load(args, (), zterms)
         # upper triangle unadjusted, lower triangle Z-adjusted, diagonal 1
         names, est, pval, notes = correlation_matrix(d, cols, Z, n_perm=args.perm, seed=args.seed)
 
@@ -337,18 +322,13 @@ def _cmd_pcor(args) -> int:
 
     if not args.x or not args.y:
         raise InputError("pcor needs --x and --y (or --matrix with --cols)")
-    needed = [args.x, args.y] + [t.name for t in zterms]
-    d, _, _ = _load_complete(args.data, args.schema, needed)
-    Z = build_design(d, zterms) if zterms else None
-    cx, cy = d[args.x], d[args.y]
-    x_model = args.x_model or default_margin_model(cx, Z)
-    y_model = args.y_model or default_margin_model(cy, Z)
+    d, _, _, Z = _load(args, [args.x, args.y], zterms)
     res = partial_spearman(
-        cx, cy, Z,
-        x_model=x_model, y_model=y_model,
+        d[args.x], d[args.y], Z,
+        x_model=args.x_model, y_model=args.y_model,
         n_boot=args.boot, n_perm=args.perm, seed=args.seed, workers=args.threads,
     )
-    _write_text(args.out, _assoc_csv(res, args.x, args.y, x_model, y_model))
+    _write_text(args.out, _assoc_csv(res, args.x, args.y))
     return 0
 
 
@@ -372,9 +352,7 @@ def _load_predictors(path: str, n_expected: int, kept: np.ndarray) -> list[Colum
 def _cmd_scan(args) -> int:
     _check_draws(0, args.perm, args.threads, args.seed, flags=_DRAW_FLAGS)
     zterms = parse_term_list(args.z)
-    needed = [args.y] + [t.name for t in zterms]
-    d, kept, removed = _load_complete(args.data, args.schema, needed)
-    Z = build_design(d, zterms) if zterms else None
+    d, kept, removed, Z = _load(args, [args.y], zterms)
     preds = _load_predictors(args.predictors, kept.size + removed, kept)
     config = ScanConfig(
         x_model=args.x_model,

@@ -15,8 +15,9 @@ textual schema declares each column's kind, for example::
 Design matrices are built from term lists: continuous/count columns enter
 as-is or through ``log`` or a restricted cubic spline expansion, binary
 columns enter as a single 0/1 column, and ordinal columns expand to
-reference-cell dummies (first level is the reference).  Design construction
-requires complete cases; run :func:`complete_cases` first.
+reference-cell dummies over their observed levels (the lowest observed
+level is the reference).  Design construction requires complete cases;
+run :func:`complete_cases` first.
 """
 from __future__ import annotations
 
@@ -606,14 +607,12 @@ def build_design(d: Dataset, terms: list[Term] | tuple[Term, ...]) -> DesignMatr
             names.append(term.name)
             names.extend(term.name + "'" * j for j in range(1, basis.shape[1]))
         elif col.kind is ColumnKind.ORDINAL:
-            k = len(col.levels)
             observed = np.unique(x)
             if observed.size < 2:
                 raise InputError(f"term {term.describe()!r}: fewer than 2 observed levels")
-            # reference-cell coding: first level is the reference
-            dummies = np.equal.outer(x, np.arange(1, k, dtype=float)).astype(float)
-            blocks.append(dummies)
-            names.extend(f"{term.name}=={col.levels[j]}" for j in range(1, k))
+            # reference-cell coding over the observed levels: the lowest is the reference
+            blocks.append(np.equal.outer(x, observed[1:]).astype(float))
+            names.extend(f"{term.name}=={col.levels[int(j)]}" for j in observed[1:])
         else:
             blocks.append(x[:, None])
             names.append(term.name)

@@ -97,8 +97,9 @@ class AssocResult:
     """A rank-association estimate with resampling-based inference.
 
     ``ci_low``/``ci_high`` bracket the estimate when a bootstrap was run;
-    ``p_value`` comes from a permutation test when requested.  Fields are
-    ``None`` when the corresponding resampling was not performed.
+    ``p_value`` comes from a permutation test when requested; each is
+    ``None`` when its resampling was not performed.  ``x_model`` and
+    ``y_model`` name the margin families that were fitted.
     """
 
     estimate: float
@@ -109,6 +110,8 @@ class AssocResult:
     n_used: int
     resampling: tuple[ResamplingInfo, ...] = ()
     notes: tuple[str, ...] = ()
+    x_model: str | None = None
+    y_model: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +296,11 @@ def _pearson(u: np.ndarray, v: np.ndarray, rows=None):
         vc = v[0] - m
         sv = float(np.sqrt(vc @ vc))
         return (v @ uc - m * uc.sum()) / (su * sv)
-    vc = v - v.mean()
-    sv = float(np.sqrt(vc @ vc))
-    if su <= 0.0 or sv <= 0.0:
+    # tested before centring: equal values can centre to rounding noise, not 0
+    if np.ptp(u) == 0.0 or np.ptp(v) == 0.0:
         raise DegenerateFitError("residual vector has zero variance (constant column?)")
-    return float((uc @ vc) / (su * sv))
+    vc = v - v.mean()
+    return float((uc @ vc) / (su * float(np.sqrt(vc @ vc))))
 
 
 def _mean_product(u: np.ndarray, v: np.ndarray, rows=None):
@@ -508,6 +511,8 @@ def _resampled_results(
             n_used=x.n,
             resampling=tuple(info),
             notes=tuple(notes),
+            x_model=x_model,
+            y_model=y_model,
         )
         for e, lo, hi, p in zip(estimates, ci_low, ci_high, p_values)
     ]

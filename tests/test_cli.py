@@ -906,3 +906,125 @@ class TestScan:
         by_name = {r[1]: r for r in _parse_csv(out.read_text())[1:]}
         assert by_name["p1"][4] == "38"
         assert by_name["p2"][4] == "39"
+
+
+class TestInputRows:
+    """Every command keeps the rows complete in the columns it reads.  In the
+    ``table`` fixture y is missing at row 5 and age at row 3."""
+
+    @staticmethod
+    def _predictors(path):
+        """A predictor file with two fully observed columns, rows aligned with ``table``."""
+        rng = np.random.default_rng(79)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["p0", "p1"])
+            w.writerows([repr(float(v)) for v in rng.normal(0, 1, 2)] for _ in range(40))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, dropped",
+        [
+            (["fit", "--model", "linear(y ~ age)"], (3, 5)),
+            (["fit", "--model", "orm-logit(stage ~ sex)"], ()),
+            (["diag", "--fit-spec", "linear(y ~ age)"], (3, 5)),
+            pytest.param(
+                ["diag", "--fit-spec", "empirical(y ~ 1)", "--rbp", "age={tmp}/age.csv", "--csv"],
+                (3, 5),
+                marks=pytest.mark.filterwarnings("ignore:.*discrete:UserWarning"),
+                id="diag-rbp-only-column",
+            ),
+            (["psr", "--model", "empirical(y ~ 1)"], (5,)),
+            (["psr", "--model", "linear(y ~ age)"], (3, 5)),
+            (["pcor", "--x", "age", "--y", "y"], (3, 5)),
+            (["pcor", "--x", "sex", "--y", "stage", "--z", "age"], (3,)),
+            (["scan", "--y", "y", "--z", "sex"], (5,)),
+            (["scan", "--y", "sex", "--z", "age"], (3,)),
+        ],
+    )
+    def test_rows_kept(self, table, tmp_path, capsys, argv, dropped):
+        extra = {
+            "pcor": ["--boot", "0", "--perm", "0"],
+            "scan": ["--predictors", self._predictors(tmp_path / "p.csv"), "--perm", "0",
+                     "--threads", "1"],
+        }
+        cmd = argv[0]
+        args = [a.format(tmp=tmp_path) for a in argv[1:]]
+        assert run([cmd, "--data", table, "--schema", SCHEMA, *args, *extra.get(cmd, [])]) == 0
+        out = capsys.readouterr().out
+        if cmd in ("fit", "diag"):
+            assert json.loads(out)["rows_removed"] == len(dropped)
+        elif cmd == "psr":
+            ids = [int(r[0]) for r in _parse_csv(out)[1:]]
+            assert ids == [i for i in range(1, 41) if i not in dropped]
+        else:
+            rows = _parse_csv(out)
+            col = rows[0].index("n_used")
+            assert {r[col] for r in rows[1:]} == {str(40 - len(dropped))}
+
+    def test_matrix_without_z_keeps_each_pairs_rows(self, table, capsys):
+        # y/sex is scored on the 39 rows where both are present, age's missing
+        # row 3 included, and gives what spearman gives on those rows
+        code = run(
+            ["pcor", "--data", table, "--schema", SCHEMA,
+             "--matrix", "--cols", "y,sex", "--perm", "0"]
+        )
+        assert code == 0
+        rows = _parse_csv(capsys.readouterr().out)
+        d = load_csv(table, SCHEMA)
+        kept = np.flatnonzero(~d["y"].missing)
+        assert kept.size == 39 and 2 in kept
+        want = ra.spearman(d["y"].take(kept), d["sex"].take(kept)).estimate
+        assert rows[1][2] == rows[2][1] == repr(want)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["fit", "--model", "linear(zz ~ age + qq)"], "zz"),
+            (["psr", "--model", "linear(y ~ qq + zz)"], "qq"),
+            (["diag", "--fit-spec", "linear(y ~ zz)", "--rbp", "qq=q.svg"], "zz"),
+            (["pcor", "--x", "zz", "--y", "qq", "--boot", "0", "--perm", "0"], "zz"),
+            (["pcor", "--x", "y", "--y", "zz", "--z", "qq", "--boot", "0", "--perm", "0"], "zz"),
+            (["pcor", "--matrix", "--cols", "y,zz", "--z", "qq", "--perm", "0"], "qq"),
+            (["scan", "--y", "zz", "--z", "qq", "--predictors", "p.csv", "--perm", "0"], "zz"),
+        ],
+        ids=["fit", "psr", "diag", "pcor", "pcor-z", "pcor-matrix", "scan"],
+    )
+    def test_first_absent_column_named(self, table, capsys, argv, named):
+        code = run([argv[0], "--data", table, "--schema", SCHEMA, *argv[1:]])
+        assert code == 1
+        assert capsys.readouterr().err == f"psr-kit: error: no column named {named!r}\n"
+
+
+class TestAbsentOrdinalLevel:
+    """A declared ordinal level that no row holds is left out of the design."""
+
+    SCHEMA = "y:continuous,w:continuous,stage:ordinal(I<II<III)"
+
+    @staticmethod
+    def _stage_table(path):
+        ys = [1.5, 2.5, 0.5, 3.0, 4.5, 1.0, 2.0, 3.5]
+        ws = [0.2, 1.1, 0.7, 0.4, 1.9, 0.3, 1.5, 0.9]
+        stages = ["I", "II", "II", "I", "II", "I", "II", "I"]
+        path.write_text(
+            "y,w,stage\n" + "".join(f"{y},{w},{s}\n" for y, w, s in zip(ys, ws, stages))
+        )
+        return str(path)
+
+    def test_fit_codes_observed_levels(self, tmp_path, capsys):
+        code = run(
+            ["fit", "--data", self._stage_table(tmp_path / "s.csv"), "--schema", self.SCHEMA,
+             "--model", "orm-logit(y ~ stage)"]
+        )
+        assert code == 0
+        assert list(json.loads(capsys.readouterr().out)["coefficients"]) == ["stage==II"]
+
+    def test_pcor_adjusts_for_observed_levels(self, tmp_path, capsys):
+        code = run(
+            ["pcor", "--data", self._stage_table(tmp_path / "s.csv"), "--schema", self.SCHEMA,
+             "--x", "y", "--y", "w", "--z", "stage", "--boot", "0", "--perm", "0"]
+        )
+        assert code == 0
+        rec = dict(zip(*_parse_csv(capsys.readouterr().out)))
+        assert rec["x_model"] == rec["y_model"] == "orm-logit"
+        assert rec["n_used"] == "8" and rec["estimate"] != "NA"

@@ -567,6 +567,40 @@ class TestBuildDesign:
         with pytest.raises(InputError):
             build_design(d, [Term("x")])
 
+    @pytest.mark.parametrize(
+        "codes, names",
+        [
+            ([0, 1, 1, 0, 1, 0], ("stage==II",)),  # top level absent
+            ([0, 2, 2, 0, 2, 0], ("stage==III",)),  # middle level absent
+            ([1, 2, 2, 1, 2, 1], ("stage==III",)),  # first level absent: II is the reference
+        ],
+        ids=["top", "middle", "first"],
+    )
+    def test_ordinal_codes_observed_levels(self, codes, names):
+        d = Dataset((Column.ordinal("stage", codes, ("I", "II", "III")),))
+        X = build_design(d, [Term("stage")])
+        assert X.names == names
+        assert np.array_equal(X.matrix[:, 0], (np.array(codes) == max(codes)).astype(float))
+
+    def test_ordinal_level_emptied_by_complete_cases(self):
+        d = Dataset(
+            (
+                Column.ordinal("stage", [0, 1, 2, 0, 1, 2], ("I", "II", "III")),
+                Column.continuous("x", np.arange(6.0), missing=[False, False, True] * 2),
+            )
+        )
+        complete, _ = complete_cases(d, ["stage", "x"])
+        X = build_design(complete, [Term("stage")])
+        assert X.names == ("stage==II",)
+        assert np.array_equal(X.matrix[:, 0], [0.0, 1.0, 0.0, 1.0])
+
+    def test_fully_observed_ordinal_coding_unchanged(self):
+        stage = self._dataset()["stage"]
+        X = build_design(Dataset((stage,)), [Term("stage")])
+        want = np.equal.outer(stage.values, np.arange(1, 3, dtype=float)).astype(float)
+        assert X.names == ("stage==II", "stage==III")
+        assert np.array_equal(X.matrix, want)
+
 
 class TestDataset:
     def test_unique_names_required(self):

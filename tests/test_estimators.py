@@ -818,6 +818,50 @@ class TestExponentialSurvival:
             fit_exponential_survival(col, DesignMatrix(np.column_stack([a, 1.0 - a]), ("a", "b")))
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "fitter, make",
+        [
+            (fit_cumulative_link, Column.continuous),
+            (fit_linear_normal, Column.continuous),
+            (fit_poisson, Column.count),
+            (fit_empirical, Column.continuous),
+        ],
+        ids=["cumulative-link", "linear-normal", "poisson", "empirical"],
+    )
+    def test_outcome_with_missing_cells_rejected(self, fitter, make):
+        y = make("y", [1.0, 2.0, 0.0, 3.0, 1.0], missing=[False, False, True, False, False])
+        with pytest.raises(
+            InputError, match=r"^outcome 'y' has missing values; run complete_cases first$"
+        ):
+            fitter(y)
+
+    @pytest.mark.parametrize(
+        "times, events, error, message",
+        [
+            ([2.0, 0.0, 5.0], [1, 0, 1], InputError,
+             "column 't': follow-up times must be strictly positive"),
+            ([2.0, 3.0, 5.0], [0, 0, 0], DegenerateFitError,
+             "column 't': needs at least one event"),
+        ],
+        ids=["zero-time", "no-event"],
+    )
+    def test_exponential_survival_rejects(self, times, events, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            fit_exponential_survival(Column.right_censored("t", times, events))
+
+    @pytest.mark.parametrize("row", [None, [0.5, 1.0]], ids=["none", "too-long"])
+    def test_predict_distribution_rejects_row_of_wrong_length(self, row):
+        rng = np.random.default_rng(30)
+        x = rng.normal(0, 1, 30)
+        fit = fit_linear_normal(
+            Column.continuous("y", x + rng.normal(0, 1, 30)), DesignMatrix(x[:, None], ("x",))
+        )
+        n = 0 if row is None else len(row)
+        with pytest.raises(InputError, match=f"^design row has {n} entries, fit expects 1$"):
+            predict_distribution(fit, row)
+
+
 # ---------------------------------------------------------------------------
 # model comparison
 # ---------------------------------------------------------------------------

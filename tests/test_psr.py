@@ -255,6 +255,24 @@ class TestPsrAll:
         with pytest.raises(InputError, match="censored"):
             psr_all(fit, Column.continuous("t", t))
 
+    @pytest.mark.parametrize(
+        "outcome, width, message",
+        [
+            ("w", 1, "column 'w' does not match fit outcome 'y'"),
+            ("y", 0, "design has 0 columns, fit expects 1"),
+            ("y", 2, "design has 2 columns, fit expects 1"),
+        ],
+        ids=["other-column", "no-design", "wide-design"],
+    )
+    def test_rejects_mismatched_inputs(self, outcome, width, message):
+        rng = np.random.default_rng(15)
+        x = rng.normal(0, 1, (20, 2))
+        y = x[:, 0] + rng.normal(0, 1, 20)
+        fit = fit_linear_normal(Column.continuous("y", y), DesignMatrix(x[:, :1], ("x1",)))
+        X = DesignMatrix(x[:, :width], ("x1", "x2")[:width]) if width else None
+        with pytest.raises(InputError, match=f"^{message}$"):
+            psr_all(fit, Column.continuous(outcome, y), X)
+
     def test_bounds_always_hold(self):
         rng = np.random.default_rng(13)
         y = Column.continuous("y", rng.integers(0, 3, 40).astype(float))

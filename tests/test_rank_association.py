@@ -102,6 +102,13 @@ class TestPartialSpearman:
         b = partial_spearman(cx, cy, None, n_boot=0, n_perm=0).estimate
         assert a == pytest.approx(b, abs=1e-14)
 
+    @pytest.mark.parametrize("equal_first", [True, False])
+    def test_equal_nonzero_residuals_are_degenerate(self, equal_first):
+        # equal residuals of a pair whose mean rounds off centre to a norm of about 2e-17
+        u, v = np.full(3, 0.1), np.array([0.0, 1.0, 2.0])
+        with pytest.raises(DegenerateFitError, match="zero variance"):
+            ra._pearson(*((u, v) if equal_first else (v, u)))
+
     def test_adjusts_away_confounder(self):
         rng = np.random.default_rng(9)
         n = 500
@@ -222,6 +229,21 @@ class TestMarginModels:
         resid = y - (fit.alpha[0] + z * fit.beta[0])
         want = psr_from_omers(resid).values
         assert np.array_equal(got, want)
+
+    def test_results_name_the_fitted_margins(self):
+        rng = np.random.default_rng(15)
+        x = Column.continuous("x", rng.normal(0, 1, 40))
+        y = Column.continuous("y", rng.normal(0, 1, 40))
+        t = Column.right_censored("t", rng.exponential(1.0, 40), np.ones(40))
+        Z = DesignMatrix(rng.normal(0, 1, (40, 1)), ("z",))
+        fitted = [
+            (spearman(x, y), ("empirical", "empirical")),
+            (partial_spearman(x, y, None, n_boot=0, n_perm=0), ("empirical", "empirical")),
+            (partial_spearman(x, t, Z, n_boot=0, n_perm=0), ("orm-logit", "exp-surv")),
+            (psr_covariance(x, y, Z, y_model="linear"), ("orm-logit", "linear")),
+        ]
+        for res, models in fitted:
+            assert (res.x_model, res.y_model) == models
 
     def test_unknown_model_rejected(self):
         col = Column.continuous("x", np.arange(5.0))
@@ -999,6 +1021,21 @@ class TestBatchScan:
         )
         assert (row.status, row.detail) == (
             "degenerate", "predictor residuals have (near) zero variance given Z"
+        )
+
+    @pytest.mark.parametrize("x_model", ["orm-logit", "linear"])
+    def test_equal_outcome_residuals_on_predictor_rows_are_degenerate(self, x_model):
+        # the outcome's residuals at its three tied rows are all 0.1, whose mean
+        # rounds to 0.10000000000000002: equal values, not a correlation of noise
+        y = Column.continuous("y", [1, 2, 3, 5, 5, 5, 7, 8, 9, 4])
+        miss = np.ones(10, bool)
+        miss[3:6] = False
+        x = Column.continuous("x", np.where(miss, 0.0, np.arange(10.0) - 3.0), missing=miss)
+        (row,) = batch_partial_spearman(
+            y, None, [x], ScanConfig(x_model=x_model, n_perm=99, seed=1)
+        )
+        assert (row.status, row.detail, row.rank, row.n_used) == (
+            "degenerate", "residual vector has zero variance (constant column?)", None, 3
         )
 
     def test_seed_required(self):
