@@ -9,10 +9,17 @@ predictor that sex separates. The continuous panel has missing cells and
 about 118 distinct values per predictor, so its `orm-logit` x-margins have
 over a hundred cut points each, fitted in the worker processes.
 Runs `python -m psrkit.cli scan` on each panel with `--threads 1` and
-`--threads 2`, and prints the count of each status. Then writes a 400-row
+`--threads 2`, and prints the count of each status. It also scans the
+genotype panel with its columns reversed, which puts each predictor in
+another block next to other predictors: every predictor must keep its
+`p_value`, `n_used`, `status` and `detail` byte for byte, because every
+block draws the same permutations, and its `estimate` within 1e-12 (an
+`orm-*` member's fit differs by rounding from one stack to another, about
+1e-16 here). Then writes a 400-row
 table and runs `python -m psrkit.cli pcor` with `orm-logit` margins and
 `--boot 300`, whose replicates are refitted in 4 blocks, at `--threads 1`
-and `--threads 2`. Exits 1 unless each pair of outputs is byte-identical.
+and `--threads 2`. Exits 1 unless each pair of outputs is byte-identical
+and the reversed scan matches.
 
 Usage: python3 scripts/scan_demo.py [OUTDIR]
 """
@@ -55,6 +62,7 @@ def write_inputs(outdir: pathlib.Path) -> None:
     y = 0.02 * age + 0.3 * sex + 0.8 * np.nan_to_num(panel["snp000"]) + rng.normal(size=N_ROWS)
     _write(outdir / "main.csv", {"y": y, "age": age, "sex": sex})
     _write(outdir / "predictors.csv", panel)
+    _write(outdir / "reversed.csv", dict(reversed(panel.items())))
     continuous = {}
     for j in range(N_CONTINUOUS):
         x = 0.5 * y + rng.normal(size=N_ROWS) if j < 3 else rng.lognormal(size=N_ROWS)
@@ -84,6 +92,27 @@ def scan(outdir: pathlib.Path, panel: str, threads: int) -> bytes:
         check=True,
     )
     return out.read_bytes()
+
+
+def _by_name(text: bytes) -> dict:
+    rows = csv.DictReader(text.decode("utf-8").splitlines())
+    return {r.pop("name"): r for r in rows}
+
+
+def _moved(forward: dict, backward: dict) -> tuple[list[str], float]:
+    """The predictors whose row differs between the two scans, and the
+    largest difference between two `ok` estimates."""
+    moved, worst = [], 0.0
+    for name, row in forward.items():
+        other = backward.get(name, {})
+        if any(row[k] != other.get(k) for k in ("p_value", "n_used", "status", "detail")):
+            moved.append(name)
+        elif row["status"] == "ok":
+            gap = abs(float(row["estimate"]) - float(other["estimate"]))
+            worst = max(worst, gap)
+            if gap > 1e-12:
+                moved.append(name)
+    return sorted(moved), worst
 
 
 def pcor(outdir: pathlib.Path, threads: int) -> bytes:
@@ -121,6 +150,15 @@ def main(argv: list[str]) -> int:
             code = 1
         else:
             print(f"{panel}: --threads 1 and --threads 2 outputs are byte-identical")
+        if panel == "predictors":
+            forward, backward = _by_name(one), _by_name(scan(outdir, "reversed", 2))
+            moved, worst = _moved(forward, backward)
+            if moved or forward.keys() != backward.keys():
+                print(f"{panel}: reversing the columns changed {moved[:3]}", file=sys.stderr)
+                code = 1
+            else:
+                print(f"{panel}: reversing the columns keeps every predictor's row "
+                      f"(largest estimate difference {worst:.1e})")
     one, two = pcor(outdir, 1), pcor(outdir, 2)
     row = next(csv.DictReader(one.decode("utf-8").splitlines()))
     fields = ("estimate", "ci_low", "ci_high", "notes")

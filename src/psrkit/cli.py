@@ -24,6 +24,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 # One OpenBLAS thread: psrkit's products are too small to split, and
 # ``--threads`` (worker processes, which inherit this) is the one parallelism.
@@ -234,7 +235,12 @@ def _cmd_diag(args) -> int:
     d, _, removed, X = _load(args, [spec.outcome], spec.terms, [name for name, _ in rbp_items])
     y = d[spec.outcome]
     r = margin_psr(y, X, spec.family)
-    ks = ks_uniform(r)
+    # the uniformity test's caveat (a discrete outcome) is a note, as pcor's are
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        ks = ks_uniform(r)
+    for w in caught:
+        print(f"{PROG}: note: {w.message}", file=sys.stderr)
     summary = {
         "model": spec.describe(),
         "n_obs": y.n,
@@ -491,7 +497,8 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--y-model", choices=MARGIN_MODELS, default=ScanConfig.y_model,
                         help="margin model for the outcome")
     p_scan.add_argument("--perm", type=int, default=1000, metavar="B",
-                        help="permutation draws per predictor (0 disables)")
+                        help="permutation draws, shared by every predictor and each "
+                             "restricted to its observed rows (0 disables)")
     p_scan.add_argument("--threads", type=int, default=threads, metavar="N",
                         help="worker processes (default: the usable CPUs); "
                              "outputs do not depend on it")

@@ -10,7 +10,10 @@ Z, or along a kernel-weighted grid for continuous Z.
 Inference is resampling based: percentile confidence intervals come from a
 pairs bootstrap that refits both marginal models on each resample, and
 p-values from permuting one residual vector against the other with the
-fitted models held fixed.  All randomness derives from a caller-supplied
+fitted models held fixed.  A scan permutes the outcome's residuals once
+for all its predictors: one set of draws of all n rows, each predictor
+taking every draw restricted to its own observed rows, which is a uniform
+permutation of those rows.  All randomness derives from a caller-supplied
 seed through counter-based (Philox) substreams keyed by task, so results
 do not depend on evaluation order or worker scheduling.
 """
@@ -323,23 +326,40 @@ _PERM_BLOCK_CELLS = 1 << 16
 _TIE_EPS = 1e-12
 
 
-def _perm_pvalue(u, v, observed, n_perm, rng, stat):
+def _perm_pvalue(u, v, observed, n_perm, rng, stat, masks=None):
     """(1 + b) / (B + 1) per output, b counting draws with |T_b| >= |T_obs| - eps.
 
     Each block of draws is one ``rng.permuted`` call that shuffles stacked
-    copies of v in place.  The shuffle's draws depend only on the shape, so
-    row k holds ``v[rng.permutation(n)]`` for the k-th draw, bit for bit.
+    copies of the row indices 0..n-1, so row k of the block is the k-th
+    draw's ``rng.permutation(n)``, s, bit for bit; the draw scores u against
+    ``v[s]``, which is v shuffled by those draws.
+
+    With ``masks`` the draws score a list of residual vectors: ``u[k]`` is
+    one on the rows where ``masks[k]`` is true (all rows where it is None),
+    with observed statistic ``observed[k]``, and one p-value is returned per
+    vector.  A draw pairs ``u[k]``, in row order, with v at those rows in the
+    order s lists them, which is a uniform permutation of them, so every
+    vector gets an exact permutation test on its own rows from the one set
+    of draws.
     """
+    single = masks is None
+    if single:
+        u, observed, masks = [u], [observed], [None]
     n = v.size
     block = max(1, _PERM_BLOCK_CELLS // n)
-    target = np.abs(observed) - _TIE_EPS
-    hits = 0
+    targets = [np.abs(obs) - _TIE_EPS for obs in observed]
+    hits = [0] * len(targets)
     for start in range(0, n_perm, block):
-        stack = np.tile(v, (min(block, n_perm - start), 1))
-        stats = stat(u, rng.permuted(stack, axis=1, out=stack), None)
-        hits = hits + np.count_nonzero(np.abs(stats) >= target, axis=0)
+        draws = min(block, n_perm - start)
+        order = np.tile(np.arange(n), (draws, 1))
+        rng.permuted(order, axis=1, out=order)
+        shuffled = v[order]
+        for k, (uk, mask) in enumerate(zip(u, masks)):
+            vk = shuffled if mask is None else shuffled[mask[order]].reshape(draws, -1)
+            hits[k] = hits[k] + np.count_nonzero(np.abs(stat(uk, vk, None)) >= targets[k], axis=0)
     # an output with no observed value (NaN) has no p-value either
-    return np.where(np.isnan(observed), np.nan, (1 + hits) / (n_perm + 1))
+    p = [np.where(np.isnan(obs), np.nan, (1 + h) / (n_perm + 1)) for obs, h in zip(observed, hits)]
+    return p[0] if single else p
 
 
 def _pool_map(task, items, n_items: int, workers: int) -> list:
@@ -726,16 +746,21 @@ class ScanRow:
 
 
 #: predictors per block of a scan.  Each block's x-margins are fitted as one
-#: batch, and ``workers`` only splits the list of blocks between processes,
-#: so the blocks, and with them every output byte, are the same at every
-#: worker count.
+#: batch and its predictors scored against one pass of the shared draws;
+#: ``workers`` only splits the list of blocks between processes, so the
+#: blocks, and with them every output byte, are the same at every worker
+#: count.
 _SCAN_BLOCK = 64
 
 
-def _scan_block(block, ypsr, Z, x_model, n_perm, seed) -> list[ScanRow]:
-    """The scan rows of one block ``(start, predictors)``; predictor k of the
-    block draws its permutations from the substream (seed, scan, start + k)."""
-    start, cols = block
+def _scan_block(cols, ypsr, Z, x_model, n_perm, seed) -> list[ScanRow]:
+    """The scan rows of one block of predictors.
+
+    Every block draws the same permutations, from the substream (seed, scan),
+    and scores each of its ``ok`` predictors against them on the predictor's
+    own observed rows (:func:`_perm_pvalue`), so a row's p-value does not
+    depend on its block or on the other predictors.
+    """
     margin = _margin(x_model)
     observed = [np.flatnonzero(~col.missing) for col in cols]
     rows: list[ScanRow | None] = [None] * len(cols)
@@ -754,29 +779,40 @@ def _scan_block(block, ypsr, Z, x_model, n_perm, seed) -> list[ScanRow]:
         else:
             fitted.append(k)
     fits = margin.fit_rows([cols[k] for k in fitted], Z, [observed[k] for k in fitted])
+    resid = {}
     for k, fit in zip(fitted, fits):
-        rows[k] = _scan_row(cols[k], observed[k], start + k, fit, margin, ypsr, Z, n_perm, seed)
+        rows[k], u = _scan_row(cols[k], observed[k], fit, margin, ypsr, Z)
+        if u is not None:
+            resid[k] = u
+    if n_perm and resid:
+        masks = [None if observed[k].size == ypsr.size else ~cols[k].missing for k in resid]
+        p = _perm_pvalue(
+            list(resid.values()), ypsr, [rows[k].estimate for k in resid], n_perm,
+            _substream(seed, _TAG_SCAN), _pearson, masks,
+        )
+        for k, pk in zip(resid, p):
+            rows[k] = replace(rows[k], p_value=float(pk))
     return rows
 
 
-def _scan_row(col, observed, idx, fit, margin, ypsr, Z, n_perm, seed) -> ScanRow:
-    """Residuals, estimate and p-value of one predictor from its x-margin
-    fit on its ``observed`` rows."""
+def _scan_row(col, observed, fit, margin, ypsr, Z) -> tuple[ScanRow, np.ndarray | None]:
+    """The row of one predictor from its x-margin fit on its ``observed``
+    rows, with no p-value, and its residuals when the row is ``ok``."""
     n_used = observed.size
     try:
         u = margin.rows_psr(fit, col, Z, observed).values
     except PsrKitError as exc:
-        return ScanRow(col.name, np.nan, np.nan, n_used, "failed", str(exc))
+        return ScanRow(col.name, np.nan, np.nan, n_used, "failed", str(exc)), None
     if float(np.std(u)) < 1e-6:
         return ScanRow(
             col.name, np.nan, np.nan, n_used, "degenerate",
             "predictor residuals have (near) zero variance given Z",
-        )
+        ), None
     try:
-        est, p = _score(u, ypsr[observed], _pearson, n_perm, seed, _TAG_SCAN, idx)
+        est = _pearson(u, ypsr[observed])
     except DegenerateFitError as exc:
-        return ScanRow(col.name, np.nan, np.nan, n_used, "degenerate", str(exc))
-    return ScanRow(col.name, est, float(p), n_used, "ok", "; ".join(fit.notes))
+        return ScanRow(col.name, np.nan, np.nan, n_used, "degenerate", str(exc)), None
+    return ScanRow(col.name, est, np.nan, n_used, "ok", "; ".join(fit.notes)), u
 
 
 def batch_partial_spearman(
@@ -789,15 +825,19 @@ def batch_partial_spearman(
 
     The outcome's residual vector is computed once (by default through the
     least-squares-then-rank device, ``linear-empirical``); each predictor is
-    then residualized on Z, correlated, and assigned a permutation p-value
-    from its own seed-derived substream.  Predictors are taken in fixed
-    blocks of ``_SCAN_BLOCK``, whose x-margins are fitted as one batch (one
-    stacked Newton loop for ``orm-*``); ``workers`` processes share out the
-    blocks.  Rows with missing predictor cells use the remaining rows.  A
-    failed or degenerate predictor is reported and the scan continues; a
-    failed outcome fit aborts.  Output is ranked by p-value with |estimate|
-    breaking ties; with ``n_perm`` = 0 no draw is made, every p-value is NaN
-    and the ranking is by |estimate|.
+    then residualized on Z on its observed rows and correlated there.  Its
+    permutation p-value comes from draws that every predictor shares: one
+    set of ``n_perm`` permutations of all rows from the substream (seed,
+    scan), each restricted to the predictor's observed rows in the order
+    the permutation lists them.  A p-value so depends only on the seed, the
+    outcome, Z and the predictor's own column.  Predictors are taken in
+    fixed blocks of ``_SCAN_BLOCK``, whose x-margins are fitted as one batch
+    (one stacked Newton loop for ``orm-*``) and which each draw the shared
+    permutations once for all their predictors; ``workers`` processes share
+    out the blocks.  A failed or degenerate predictor is reported and the
+    scan continues; a failed outcome fit aborts.  Output is ranked by
+    p-value with |estimate| breaking ties; with ``n_perm`` = 0 no draw is
+    made, every p-value is NaN and the ranking is by |estimate|.
     """
     _check_draws(n_perm=config.n_perm, workers=config.workers, seed=config.seed)
     _margin(config.x_model)  # an unknown x-model fails before the outcome is fitted
@@ -812,7 +852,7 @@ def batch_partial_spearman(
         x_model=config.x_model, n_perm=config.n_perm, seed=config.seed,
     )
     blocks = [
-        (start, list(predictors[start : start + _SCAN_BLOCK]))
+        list(predictors[start : start + _SCAN_BLOCK])
         for start in range(0, len(predictors), _SCAN_BLOCK)
     ]
     results = [

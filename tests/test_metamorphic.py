@@ -6,17 +6,21 @@ depends on an orderable column only through the order of its values, and
 the correlation is symmetric in its two residual vectors.  Each property
 compares two runs of psrkit on drawn data; where the first run raises, the
 second must raise the same error.  Fitted margins are also invariant, up to
-rounding, to how Z is written and to the order of the rows.
+rounding, to how Z is written and to the order of the rows.  A scan row
+depends only on the seed, the outcome, Z and its own predictor, and no
+output depends on the number of worker processes.
 """
 import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psrkit.data_model import Column, DesignMatrix
 from psrkit.estimators import CUMULATIVE_LINKS
+from psrkit import rank_association
 from psrkit.exceptions import PsrKitError
 from psrkit.rank_association import (
     ScanConfig,
@@ -147,13 +151,94 @@ def test_scan_estimate_is_partial_spearman(panel, width, link):
         elif width == 1:
             assert row.estimate == res.estimate
         else:
-            # a link density is below 1/2, so a residual F(y-) + F(y) - 1
-            # moves by at most 1e-12 (1 + |z_i|_1) and the correlation by at
-            # most that over std(u); n eps covers the correlation's own rounding
-            u = margin_psr(col, Z, f"orm-{link}").values
-            z1 = 0.0 if Z is None else np.abs(Z.matrix).sum(axis=1).max()
-            bound = 1e-12 * (1 + z1) / np.std(u) + u.size * np.finfo(float).eps
-            assert abs(row.estimate - res.estimate) <= bound
+            assert abs(row.estimate - res.estimate) <= _stack_rounding(col, Z, f"orm-{link}")
+
+
+def _stack_rounding(col, Z, model):
+    """How far the estimate of an ``orm-*`` member of one stack may be from
+    its estimate in another: each member is its fit alone within 1e-12 in
+    alpha and beta (TestStackedFit).  A link density is below 1/2, so a
+    residual F(y-) + F(y) - 1 moves by at most 1e-12 (1 + |z_i|_1) and the
+    correlation by at most that over std(u); n eps covers the correlation's
+    own rounding."""
+    rows = np.flatnonzero(~col.missing)
+    Z = Z.take(rows) if Z is not None else None
+    u = margin_psr(col.take(rows), Z, model).values
+    z1 = 0.0 if Z is None else np.abs(Z.matrix).sum(axis=1).max()
+    return 1e-12 * (1 + z1) / np.std(u) + u.size * np.finfo(float).eps
+
+
+@st.composite
+def scan_panels(draw):
+    """An outcome, Z and a seed from :func:`panels`, with one to six
+    predictors: the panel's x and shifted copies of it, each copy with a
+    drawn share of missing cells."""
+    x, y, Z, seed = draw(panels(max_n=150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    preds = []
+    for k in range(draw(st.integers(1, 6))):
+        miss = rng.random(x.n) < (draw(st.sampled_from([0.0, 0.05, 0.3])) if k else 0.0)
+        values = np.where(miss, 0.0, np.roll(x.values, k))
+        preds.append(Column.continuous(f"x{k}", values, missing=miss))
+    return y, Z, preds, seed
+
+
+def _scan_rows(y, Z, preds, x_model, n_perm, seed):
+    """The scan's rows by predictor name, without their ranks, which depend
+    on the other predictors."""
+    config = ScanConfig(x_model=x_model, n_perm=n_perm, seed=seed)
+    return {r.name: replace(r, rank=None) for r in batch_partial_spearman(y, Z, preds, config)}
+
+
+@given(panel=scan_panels(), x_model=st.sampled_from(["orm-logit", "linear", "linear-empirical"]),
+       n_perm=st.integers(0, 39))
+@settings(max_examples=25, deadline=None)
+def test_scan_row_depends_on_its_own_predictor_only(panel, x_model, n_perm):
+    # in bits: the predictor's position, its block, the block size and the
+    # other predictors change nothing, the p-value included, because every
+    # block scores its predictors against the same draws.  An orm-* member's
+    # fit sums in another order in another stack (gemm, not gemv), so its
+    # estimate is compared within that rounding.
+    y, Z, preds, seed = panel
+    base = _scan_rows(y, Z, preds, x_model, n_perm, seed)
+    variants = [_scan_rows(y, Z, preds[::-1], x_model, n_perm, seed)]
+    for width in (1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rank_association, "_SCAN_BLOCK", width)
+            variants.append(_scan_rows(y, Z, preds, x_model, n_perm, seed))
+    alone = {}
+    for col in preds:
+        alone.update(_scan_rows(y, Z, [col], x_model, n_perm, seed))
+    variants.append(alone)
+    for other in variants:
+        for col in preds:
+            a, b = base[col.name], other[col.name]
+            if x_model.startswith("orm-") and a.status == b.status == "ok":
+                assert abs(a.estimate - b.estimate) <= _stack_rounding(col, Z, x_model)
+                a, b = replace(a, estimate=0.0), replace(b, estimate=0.0)
+            assert repr(a) == repr(b)
+
+
+@given(panel=scan_panels(), n_boot=st.sampled_from([0, 12]), n_perm=st.integers(0, 19))
+@settings(max_examples=6, deadline=None)
+def test_outputs_do_not_depend_on_workers(panel, n_boot, n_perm):
+    # blocks of 2 predictors and of 4 bootstrap replicates, so that 2 and 3
+    # workers share out several blocks; compared by repr, which is bits
+    y, Z, preds, seed = panel
+    scans, pairs = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank_association, "_SCAN_BLOCK", 2)
+        mp.setattr(rank_association, "_BOOT_BLOCK_CELLS", 4 * y.n)
+        for workers in (1, 2, 3):
+            scans.append(repr(batch_partial_spearman(
+                y, Z, preds, ScanConfig(n_perm=n_perm, seed=seed, workers=workers)
+            )))
+            pairs.append(repr(_outcome(
+                partial_spearman, preds[0], y, Z,
+                n_boot=n_boot, n_perm=n_perm, seed=seed, workers=workers,
+            )))
+    assert scans[0] == scans[1] == scans[2]
+    assert pairs[0] == pairs[1] == pairs[2]
 
 
 def _fitted_estimate(x, y, Z, margins):

@@ -907,6 +907,75 @@ class TestDrawPath:
         assert np.allclose(ra._pearson(u, stack), rowwise, rtol=0, atol=1e-15)
 
 
+def _scan_reference_pvalue(u, ypsr, observed, n_perm, seed):
+    """A scan p-value drawn one permutation at a time: draw b takes
+    s_b = ``rng.permutation(n)`` from the scan substream and pairs u, in row
+    order, with the outcome's residuals at the predictor's observed rows in
+    the order s_b lists them."""
+    n = ypsr.size
+    mask = np.zeros(n, bool)
+    mask[observed] = True
+    target = abs(ra._pearson(u, ypsr[observed])) - ra._TIE_EPS
+    rng = ra._substream(seed, ra._TAG_SCAN)
+    hits = 0
+    for _ in range(n_perm):
+        s = rng.permutation(n)
+        hits += abs(ra._pearson(u, ypsr[s[mask[s]]])) >= target
+    return (1 + hits) / (n_perm + 1)
+
+
+class TestSharedScanDraws:
+    """Every scan predictor is scored against one set of draws, restricted to
+    its own observed rows.  The reference loop catches, among others: u
+    paired in the draw's order rather than in row order, values drawn from
+    all n rows rather than the observed ones, a mask applied to positions
+    rather than to the rows drawn, and a substream per predictor."""
+
+    @staticmethod
+    def _panel(n=90):
+        rng = np.random.default_rng(41)
+        age = rng.normal(size=n)
+        sex = (rng.random(n) < 0.5).astype(float)
+        y = Column.continuous("y", age + sex + rng.normal(size=n))
+        Z = DesignMatrix(np.column_stack([age, sex]), ("age", "sex"))
+        # g0 tracks y; g0 and g1 are complete, g2..g5 miss 6..15 cells
+        preds = []
+        for k in range(6):
+            if k == 0:
+                g = np.round(y.values + rng.normal(0, 0.5, n))
+            else:
+                g = rng.binomial(2, 0.3, n).astype(float)
+            miss = np.zeros(n, bool)
+            if k >= 2:
+                miss[rng.choice(n, 3 * k, replace=False)] = True
+            preds.append(Column.continuous(f"g{k}", np.where(miss, 0.0, g), missing=miss))
+        return y, Z, preds
+
+    @pytest.mark.parametrize("x_model", ["linear", "orm-logit"])
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["1", "7", "default"])
+    def test_pvalue_equals_reference_loop(self, monkeypatch, x_model, rows):
+        y, Z, preds = self._panel()
+        n, n_perm, seed = y.n, 59, 13
+        if rows is not None:
+            monkeypatch.setattr(ra, "_PERM_BLOCK_CELLS", rows * n)
+        got = {
+            r.name: r
+            for r in batch_partial_spearman(
+                y, Z, preds, ScanConfig(x_model=x_model, n_perm=n_perm, seed=seed)
+            )
+        }
+        ypsr = margin_psr(y, Z, "linear-empirical").values
+        for col in preds:
+            observed = np.flatnonzero(~col.missing)
+            u = margin_psr(col.take(observed), Z.take(observed), x_model).values
+            row = got[col.name]
+            assert row.status == "ok"
+            assert row.p_value == _scan_reference_pvalue(u, ypsr, observed, n_perm, seed)
+        assert {got[c.name].n_used for c in preds[:2]} == {n}
+        assert all(got[c.name].n_used < n for c in preds[2:])
+        assert got["g0"].p_value == 1 / (n_perm + 1)
+
+
 class TestBatchScan:
     def _setup(self, rng, n=150, n_null=10):
         z = rng.normal(0, 1, n)
